@@ -85,6 +85,12 @@ class LabelPropagation {
     }
   }
 
+  void AggregateLocal(Aggregate* agg, const Contribution& c) const {
+    for (int f = 0; f < kLabels; ++f) {
+      (*agg)[f] += c[f];
+    }
+  }
+
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& /*ctx*/) const {
     if (v < seeds_->size() && (*seeds_)[v] >= 0) {
       return SeedOrUniform(v);  // seed labels are clamped

@@ -61,6 +61,7 @@ class PersonalizedPageRank {
   }
 
   void AggregateAtomic(Aggregate* agg, const Contribution& c) const { AtomicAdd(agg, c); }
+  void AggregateLocal(Aggregate* agg, const Contribution& c) const { *agg += c; }
   void RetractAtomic(Aggregate* agg, const Contribution& c) const { AtomicAdd(agg, -c); }
 
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& /*ctx*/) const {

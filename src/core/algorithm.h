@@ -53,6 +53,9 @@ struct VertexContext {
   friend bool operator==(const VertexContext&, const VertexContext&) = default;
 };
 
+// Computes the context of one vertex of `graph` from its adjacency.
+VertexContext ComputeVertexContext(const MutableGraph& graph, VertexId v);
+
 // Computes the context of every vertex of `graph` (one pass over both edge
 // directions).
 std::vector<VertexContext> ComputeVertexContexts(const MutableGraph& graph);
@@ -88,6 +91,17 @@ constexpr bool IsContextFreeAlgorithm() {
     return false;
   }
 }
+
+// Optional hook: `AggregateLocal(agg, c)` is ⊕ on a cell only the calling
+// task can see, so it needs no atomic. Refinement's pull direction sums a
+// vertex's transitive delta into a local accumulator and writes the cell
+// once; without the hook it falls back to AggregateAtomic on the local,
+// which is correct but pays a CAS per edge.
+template <typename A>
+concept HasLocalAggregate =
+    requires(const A algo, typename A::Aggregate* agg, const typename A::Contribution& c) {
+      algo.AggregateLocal(agg, c);
+    };
 
 // The compile-time contract every algorithm satisfies. Engines are
 // templates over `Algo`; this concept documents and enforces the surface.

@@ -9,6 +9,9 @@
 //                  cell — either as a combined delta (decomposable
 //                  aggregations with DeltaContribution) or as a
 //                  retract-old / aggregate-new pair.
+//   PullChange     the same change folded into a cell the calling task owns
+//                  (refinement's pull direction), without atomics when the
+//                  algorithm has AggregateLocal.
 //   PullAggregate  rebuild a vertex's aggregation from its full
 //                  in-neighborhood under a given value assignment.
 //
@@ -50,6 +53,26 @@ struct DeltaKernel {
     }
     algo.RetractAtomic(agg, algo.ContributionOf(u, old_value, w, old_ctx));
     algo.AggregateAtomic(agg, algo.ContributionOf(u, new_value, w, new_ctx));
+  }
+
+  // PushChange into a private accumulator: the pull direction of a dense
+  // refinement level sums one target's ⋃△ over its frontier in-edges
+  // locally and writes the target's cell once. The combined delta goes
+  // through the algorithm's non-atomic AggregateLocal; without that hook,
+  // a combined delta, or under the retract+propagate ablation, the atomic
+  // ops run on the (uncontended) private cell.
+  static void PullChange(const Algo& algo, bool use_retract_propagate, VertexId u,
+                         const Value& old_value, const Value& new_value, Weight w,
+                         const VertexContext& old_ctx, const VertexContext& new_ctx,
+                         Aggregate* local) {
+    if constexpr (HasDeltaContribution<Algo> && HasLocalAggregate<Algo>) {
+      if (!use_retract_propagate) {
+        algo.AggregateLocal(local,
+                            algo.DeltaContribution(u, old_value, new_value, w, old_ctx, new_ctx));
+        return;
+      }
+    }
+    PushChange(algo, use_retract_propagate, u, old_value, new_value, w, old_ctx, new_ctx, local);
   }
 
   // Re-evaluates g(v) by pulling the full in-neighborhood with `vals` under

@@ -27,6 +27,11 @@
 // dynamics (the recorded changed set) — is recomputed from its full
 // in-neighborhood, so the continuation is still exact BSP.
 //
+// Each decomposable level picks its direction like Ligra's edgeMap: when the
+// frontier's out-edges exceed |E|/20 the level pulls (every vertex scans its
+// in-edges for frontier members and sums its ⋃△ locally) instead of
+// claiming targets and pushing atomic deltas into them.
+//
 // Non-decomposable aggregations (min/max) cannot retract; for those the
 // engine re-evaluates impacted vertices by pulling the full in-neighborhood
 // at every refined level (§3.3 "Aggregation Properties & Extensions").
@@ -103,7 +108,7 @@ class GraphBoltEngine {
     Timer timer;
     SchedulerCounterScope scheduler(&stats_);
     stats_.Clear();
-    contexts_ = ComputeVertexContexts(*graph_);
+    ResetContexts();
     const VertexId n = graph_->num_vertices();
     store_.Reset(n, options_.history_size);
     values_.assign(n, Value{});
@@ -211,7 +216,7 @@ class GraphBoltEngine {
       GB_LOG(kError) << "engine state truncated or malformed";
       return false;
     }
-    contexts_ = ComputeVertexContexts(*graph_);
+    ResetContexts();
     return true;
   }
 
@@ -352,14 +357,21 @@ class GraphBoltEngine {
   // Re-validates first (the caller serializes this against batched applies,
   // but classification may have run before an intervening batch); returns
   // false to send the mutation down the batched path instead. Leaves
-  // contexts_ untouched: the next batched Refine recomputes them and treats
-  // the endpoints as context-changed, which is value-preserving for the
-  // context-free algorithms real mutations are classified safe under.
+  // contexts_ stale and records the endpoints instead: the next batched
+  // Refine recomputes their contexts without noting them as
+  // context-changed, which is value-preserving for the context-free
+  // algorithms real mutations are classified safe under.
   bool ApplyFastSafe(const EdgeMutation& m) {
     if (!ClassifyFast(m).safe) {
       return false;
     }
-    graph_->ApplySingle(m);
+    if (!graph_->ApplySingle(m).Empty()) {
+      stale_contexts_.push_back(m.src);
+      stale_contexts_.push_back(m.dst);
+      if (stale_contexts_.size() > 2 * static_cast<size_t>(graph_->num_vertices())) {
+        SortUnique(&stale_contexts_);  // bounded by V between batches
+      }
+    }
     return true;
   }
 
@@ -403,7 +415,7 @@ class GraphBoltEngine {
       return;
     }
     const VertexId n = graph_->num_vertices();
-    contexts_ = ComputeVertexContexts(*graph_);
+    ResetContexts();
     prop_values_ = values_;
     aggregates_.assign(n, algo_.IdentityAggregate());
     async_active_.Resize(n);
@@ -632,7 +644,7 @@ class GraphBoltEngine {
   // Epoch-stamped per-level scratch recording the old and new values of
   // every vertex touched while refining one level. Two instances alternate
   // between consecutive levels, giving O(1) old/new value lookups without
-  // hashing.
+  // hashing. They live across batches: a new epoch forgets a level in O(1).
   struct LevelScratch {
     std::vector<Value> old_values;
     std::vector<Value> new_values;
@@ -645,7 +657,10 @@ class GraphBoltEngine {
         old_values.resize(n);
         new_values.resize(n);
       }
-      ++epoch;
+      if (++epoch == 0) {  // wrapped: no stale stamp may match
+        std::fill(stamps.begin(), stamps.end(), 0u);
+        epoch = 1;
+      }
     }
     bool Has(VertexId v) const { return stamps[v] == epoch; }
     void Record(VertexId v, const Value& old_value) {
@@ -841,9 +856,14 @@ class GraphBoltEngine {
   void Refine(const AppliedMutations& applied) {
     const VertexId n = graph_->num_vertices();
     const VertexId old_n = store_.num_vertices();
-    std::vector<VertexContext> old_contexts = std::move(contexts_);
+    // The contexts the stored run was computed with, still stale at
+    // fast-path splice endpoints: an O(V) copy held for this batch only
+    // (persistent, it would raise peak memory), not an O(V+E) recompute.
+    std::vector<VertexContext> old_contexts = contexts_;
     old_contexts.resize(n);  // new vertices: empty old context
-    contexts_ = ComputeVertexContexts(*graph_);
+    // Contributors whose context changed: their contribution along every
+    // out-edge changes even if their value does not.
+    const std::vector<VertexId> ctx_changed = RefreshContexts(applied, old_contexts);
     store_.GrowVertices(n, algo_.IdentityAggregate());
     values_.resize(n, Value{});
     // New vertices behave as if they had existed isolated all along; the
@@ -855,36 +875,20 @@ class GraphBoltEngine {
     const uint32_t tracked = store_.tracked_levels();
     const uint32_t orig_total = store_.total_levels();
 
-    // Contributors whose context changed: their contribution along every
-    // out-edge changes even if their value does not.
-    AtomicBitset ctx_changed_bits(n);
-    std::vector<VertexId> ctx_changed;
-    auto note_endpoint = [&](VertexId v) {
-      if (!(old_contexts[v] == contexts_[v]) && ctx_changed_bits.Set(v)) {
-        ctx_changed.push_back(v);
-      }
-    };
-    for (const Edge& e : applied.added) {
-      note_endpoint(e.src);
-      note_endpoint(e.dst);
-    }
-    for (const Edge& e : applied.deleted) {
-      note_endpoint(e.src);
-      note_endpoint(e.dst);
-    }
-
-    // Level-0 frontier: only context-changed vertices can differ.
+    // Level-0 frontier: only context-changed vertices can differ. The
+    // level-0 scratch records it too (value lookups at level 0 never consult
+    // a scratch), so at every level each frontier entry's old/new values are
+    // its record in the previous level's scratch.
     std::vector<FrontierEntry> frontier;
+    scratch_[0].Prepare(n);
     for (const VertexId v : ctx_changed) {
-      frontier.push_back({v, algo_.InitialValue(v, old_contexts[v]),
-                          algo_.InitialValue(v, contexts_[v])});
+      scratch_[0].Record(v, algo_.InitialValue(v, old_contexts[v]));
+      scratch_[0].new_values[v] = algo_.InitialValue(v, contexts_[v]);
+      frontier.push_back({v, scratch_[0].old_values[v], scratch_[0].new_values[v]});
     }
-
-    LevelScratch scratch[2];
-    scratch[0].Prepare(n);  // stands in for "level 0": nothing touched
     for (uint32_t level = 1; level <= tracked; ++level) {
       frontier = RefineLevel(level, applied, frontier, ctx_changed, old_contexts,
-                             scratch[(level - 1) & 1], &scratch[level & 1]);
+                             scratch_[(level - 1) & 1], &scratch_[level & 1]);
       ++stats_.iterations;
     }
     // Give the storage backend a chance to drop suffixes that refinement
@@ -906,6 +910,64 @@ class GraphBoltEngine {
     }
   }
 
+  // Recomputes every context from the graph (O(V+E)) and drops the record
+  // of fast-path splices, whose contexts this refreshes too.
+  void ResetContexts() {
+    contexts_ = ComputeVertexContexts(*graph_);
+    stale_contexts_.clear();
+  }
+
+  // Brings contexts_ up to date after a batch by recomputing only the
+  // vertices whose adjacency changed: the applied edges' endpoints, plus the
+  // fast-path splice endpoints recorded since the last Refine. Returns the
+  // applied endpoints whose context differs from `old_contexts`, ascending.
+  // Splice endpoints are refreshed but not returned: a safe splice cannot
+  // move a contribution.
+  std::vector<VertexId> RefreshContexts(const AppliedMutations& applied,
+                                        const std::vector<VertexContext>& old_contexts) {
+    contexts_.resize(graph_->num_vertices());  // new vertices: empty until refreshed
+    std::vector<VertexId> endpoints;
+    endpoints.reserve(2 * (applied.added.size() + applied.deleted.size()));
+    for (const Edge& e : applied.added) {
+      endpoints.push_back(e.src);
+      endpoints.push_back(e.dst);
+    }
+    for (const Edge& e : applied.deleted) {
+      endpoints.push_back(e.src);
+      endpoints.push_back(e.dst);
+    }
+    SortUnique(&endpoints);
+    std::vector<VertexId> refreshed = endpoints;
+    if (!stale_contexts_.empty()) {
+      refreshed.insert(refreshed.end(), stale_contexts_.begin(), stale_contexts_.end());
+      stale_contexts_.clear();
+      SortUnique(&refreshed);
+    }
+    ParallelFor(0, refreshed.size(), [&](size_t i) {
+      contexts_[refreshed[i]] = ComputeVertexContext(*graph_, refreshed[i]);
+    }, /*grain=*/64);
+    std::erase_if(endpoints, [&](VertexId v) { return old_contexts[v] == contexts_[v]; });
+    return endpoints;
+  }
+
+  static void SortUnique(std::vector<VertexId>* ids) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  }
+
+  // Ligra's direction test: the frontier's out-edges exceed
+  // |E| / kDenseFrontierDenominator. Only decomposable levels pull.
+  bool PullsLevel(const std::vector<FrontierEntry>& frontier) const {
+    if constexpr (Algo::kKind != AggregationKind::kDecomposable) {
+      return false;
+    } else {
+      const uint64_t frontier_edges = ParallelReduceSum<uint64_t>(
+          0, frontier.size(),
+          [&](size_t i) { return static_cast<uint64_t>(graph_->OutDegree(frontier[i].v)); });
+      return frontier_edges > graph_->num_edges() / kDenseFrontierDenominator;
+    }
+  }
+
   // Refines one tracked level; returns the next frontier (changed values and
   // context-changed contributors). `prev` is the scratch filled while
   // refining level-1; `cur` receives this level's touched old/new values.
@@ -918,35 +980,14 @@ class GraphBoltEngine {
     std::atomic<uint64_t> edges{0};
     cur->Prepare(n);
 
-    // 1. Targets of this level: direct mutation targets plus out-neighbors
-    //    of the previous level's changed contributors.
-    FrontierBuilder touched(n);
-    for (const Edge& e : applied.added) {
-      touched.Claim(e.dst);
-    }
-    for (const Edge& e : applied.deleted) {
-      touched.Claim(e.dst);
-    }
-    ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        for (const VertexId w : graph_->OutNeighbors(frontier[i].v)) {
-          touched.Claim(w);
-        }
-      }
-    }, /*grain=*/64);
-    VertexSubset targets = touched.Take();
-
-    // Materialize the targets' aggregations into a dense scratch the
-    // mutation passes operate on; every write below lands on a target, so
-    // committing the targets back is a complete update of the level.
-    store_.MaterializeLevel(level, targets, &level_scratch_);
-    std::vector<Aggregate>& agg = level_scratch_;
-
-    // 2. Snapshot old values of targets before mutating this level.
-    ParallelFor(0, targets.size(), [&](size_t i) {
-      const VertexId v = targets.members()[i];
-      cur->Record(v, algo_.VertexCompute(v, agg[v], old_contexts[v]));
-    }, /*grain=*/256);
+    // 1-2. Targets of this level (direct mutation targets plus out-neighbors
+    //      of the previous level's changed contributors), their aggregations
+    //      in `agg`, and their old values in `cur`. A dense decomposable
+    //      level also folds in its transitive impact (step 4) as it goes.
+    const bool pull = PullsLevel(frontier);
+    VertexSubset targets = pull ? PullTargets(level, applied, frontier, old_contexts, prev, cur)
+                                : ClaimTargets(level, applied, frontier, old_contexts, cur);
+    std::vector<Aggregate>& agg = aggregates_;
 
     if constexpr (kPullBased) {
       // 3a-fast. Monotonic aggregations with addition-only batches: values
@@ -1013,26 +1054,32 @@ class GraphBoltEngine {
       stats_.edges_processed += applied.added.size() + applied.deleted.size();
 
       // 4. Transitive impact: ⋃△ over out-edges (in E^T) of every changed
-      // contributor.
-      ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
-        uint64_t local_edges = 0;
-        for (size_t i = lo; i < hi; ++i) {
-          const FrontierEntry& entry = frontier[i];
-          const auto out_nbrs = graph_->OutNeighbors(entry.v);
-          const auto out_wts = graph_->OutWeights(entry.v);
-          for (size_t e = 0; e < out_nbrs.size(); ++e) {
-            PushChange(entry.v, entry.old_value, entry.new_value, out_wts[e],
-                       old_contexts[entry.v], contexts_[entry.v], &agg[out_nbrs[e]]);
+      // contributor — already summed in on a pull level.
+      if (!pull) {
+        ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
+          uint64_t local_edges = 0;
+          for (size_t i = lo; i < hi; ++i) {
+            const FrontierEntry& entry = frontier[i];
+            const auto out_nbrs = graph_->OutNeighbors(entry.v);
+            const auto out_wts = graph_->OutWeights(entry.v);
+            for (size_t e = 0; e < out_nbrs.size(); ++e) {
+              PushChange(entry.v, entry.old_value, entry.new_value, out_wts[e],
+                         old_contexts[entry.v], contexts_[entry.v], &agg[out_nbrs[e]]);
+            }
+            local_edges += out_nbrs.size();
           }
-          local_edges += out_nbrs.size();
-        }
-        edges.fetch_add(local_edges, std::memory_order_relaxed);
-      }, /*grain=*/64);
+          edges.fetch_add(local_edges, std::memory_order_relaxed);
+        }, /*grain=*/64);
+      }
     }
     stats_.edges_processed += edges.load();
 
     // 5. Recompute target values, update changed bits, build next frontier.
-    AtomicBitset in_next(n);
+    if (in_next_.size() < n) {
+      in_next_.Resize(n);
+    } else {
+      in_next_.ClearAll();
+    }
     std::vector<FrontierEntry> next;
     std::mutex merge;
     AtomicBitset& changed_bits = store_.MutableChangedAt(level);
@@ -1049,7 +1096,7 @@ class GraphBoltEngine {
           changed_bits.Clear(v);
         }
         if (algo_.ValuesDiffer(cur->old_values[v], new_val)) {
-          in_next.Set(v);
+          in_next_.Set(v);
           local.push_back({v, cur->old_values[v], new_val});
         }
       }
@@ -1060,9 +1107,10 @@ class GraphBoltEngine {
     // A vertex that changed at the previous level but is not a target here
     // keeps its aggregation (and hence its value at this level), yet its
     // changed bit must be refreshed: the bit compares against its *new*
-    // previous-level value.
+    // previous-level value. Until the loop below, `cur` holds exactly the
+    // targets.
     for (const FrontierEntry& entry : frontier) {
-      if (touched.Contains(entry.v)) {
+      if (cur->Has(entry.v)) {
         continue;
       }
       // Not a target: its aggregation was not materialized; read the store.
@@ -1077,7 +1125,7 @@ class GraphBoltEngine {
     // Context-changed contributors stay in the frontier at every level even
     // when their value is unchanged.
     for (const VertexId v : ctx_changed) {
-      if (in_next.Test(v)) {
+      if (in_next_.Test(v)) {
         continue;
       }
       if (cur->Has(v)) {
@@ -1093,6 +1141,114 @@ class GraphBoltEngine {
 
     store_.CommitLevel(level, targets, agg);
     return next;
+  }
+
+  // Steps 1 and 2 of a level that does not pull (sparse, or not
+  // decomposable): claims the targets through an atomic bitset, packs them,
+  // materializes their aggregations from the store, and records their old
+  // values in `cur`.
+  VertexSubset ClaimTargets(uint32_t level, const AppliedMutations& applied,
+                            const std::vector<FrontierEntry>& frontier,
+                            const std::vector<VertexContext>& old_contexts, LevelScratch* cur) {
+    FrontierBuilder touched(graph_->num_vertices());
+    for (const Edge& e : applied.added) {
+      touched.Claim(e.dst);
+    }
+    for (const Edge& e : applied.deleted) {
+      touched.Claim(e.dst);
+    }
+    ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        for (const VertexId w : graph_->OutNeighbors(frontier[i].v)) {
+          touched.Claim(w);
+        }
+      }
+    }, /*grain=*/64);
+    VertexSubset targets = touched.Take();
+
+    // Materialize the targets' aggregations into a dense scratch the
+    // mutation passes operate on; every write below lands on a target, so
+    // committing the targets back is a complete update of the level.
+    store_.MaterializeLevel(level, targets, &aggregates_);
+
+    // Snapshot old values of targets before mutating this level.
+    ParallelFor(0, targets.size(), [&](size_t i) {
+      const VertexId v = targets.members()[i];
+      cur->Record(v, algo_.VertexCompute(v, aggregates_[v], old_contexts[v]));
+    }, /*grain=*/256);
+    return targets;
+  }
+
+  // Steps 1, 2 and 4 of a dense decomposable level in the pull direction
+  // (Ligra's dense edgeMap): one pass over every vertex's in-edges. A vertex
+  // is a target iff it is a direct mutation target or has a frontier
+  // in-neighbor. Its ⋃△ is summed into a private accumulator seeded with its
+  // stored aggregation and written to its own cell once, so the level takes
+  // no claims and no contended atomics, and its sums have a fixed order. Only
+  // in-edges from frontier members are evaluated — exactly the frontier's
+  // out-edges — so edges_processed matches the push direction. A frontier
+  // member's old/new values are read from `prev`, its per-vertex record (see
+  // Refine). Records the targets' old values in `cur` and returns them
+  // packed.
+  VertexSubset PullTargets(uint32_t level, const AppliedMutations& applied,
+                           const std::vector<FrontierEntry>& frontier,
+                           const std::vector<VertexContext>& old_contexts,
+                           const LevelScratch& prev, LevelScratch* cur) {
+    const VertexId n = graph_->num_vertices();
+    if (in_frontier_.size() < n) {
+      in_frontier_.Resize(n);
+    }
+    ParallelFor(0, frontier.size(), [&](size_t i) { in_frontier_.Set(frontier[i].v); },
+                /*grain=*/256);
+    // Direct targets are recorded first so the pass below keeps them.
+    const auto record_direct = [&](const Edge& e) {
+      if (!cur->Has(e.dst)) {
+        cur->Record(e.dst,
+                    algo_.VertexCompute(e.dst, store_.At(level, e.dst), old_contexts[e.dst]));
+      }
+    };
+    std::for_each(applied.added.begin(), applied.added.end(), record_direct);
+    std::for_each(applied.deleted.begin(), applied.deleted.end(), record_direct);
+
+    if (aggregates_.size() < n) {
+      aggregates_.resize(n);
+    }
+    std::vector<Aggregate>& agg = aggregates_;
+    std::atomic<uint64_t> edges{0};
+    ParallelForChunks(0, n, [&](size_t lo, size_t hi) {
+      uint64_t local_edges = 0;
+      for (size_t vi = lo; vi < hi; ++vi) {
+        const VertexId v = static_cast<VertexId>(vi);
+        const auto in_nbrs = graph_->InNeighbors(v);
+        size_t e = 0;
+        while (e < in_nbrs.size() && !in_frontier_.Test(in_nbrs[e])) {
+          ++e;
+        }
+        const bool direct = cur->Has(v);
+        if (e == in_nbrs.size() && !direct) {
+          continue;  // not a target this level
+        }
+        Aggregate acc = store_.At(level, v);
+        if (!direct) {
+          cur->Record(v, algo_.VertexCompute(v, acc, old_contexts[v]));
+        }
+        const auto in_wts = graph_->InWeights(v);
+        for (; e < in_nbrs.size(); ++e) {
+          const VertexId u = in_nbrs[e];
+          if (in_frontier_.Test(u)) {
+            DeltaKernel<Algo>::PullChange(algo_, options_.use_retract_propagate, u,
+                                          prev.old_values[u], prev.new_values[u], in_wts[e],
+                                          old_contexts[u], contexts_[u], &acc);
+            ++local_edges;
+          }
+        }
+        agg[v] = acc;
+      }
+      edges.fetch_add(local_edges, std::memory_order_relaxed);
+    }, /*grain=*/128);
+    stats_.edges_processed += edges.load();
+    in_frontier_.ClearAll();
+    return VertexSubset::FromSorted(n, PackIds(n, [cur](VertexId v) { return cur->Has(v); }));
   }
 
   // ----- Hybrid continuation ------------------------------------------------
@@ -1270,8 +1426,14 @@ class GraphBoltEngine {
   Options options_;
   std::vector<VertexContext> contexts_;
   std::vector<Value> values_;
-  std::vector<Aggregate> aggregates_;    // scratch for the initial run
-  std::vector<Aggregate> level_scratch_;  // refinement working copy of one level
+  // Per-vertex aggregations: the live array of the initial run and of async
+  // mode, and refinement's working copy of one level (never two at once).
+  std::vector<Aggregate> aggregates_;
+  // Refinement scratch kept across batches; resized only when V grows.
+  LevelScratch scratch_[2];   // old/new values of the two live levels
+  AtomicBitset in_next_;      // next-frontier membership of one level
+  AtomicBitset in_frontier_;  // frontier membership on a pull level
+  std::vector<VertexId> stale_contexts_;  // fast-path splice endpoints since Refine
   StoreT store_;
   EngineStats stats_;
   MutationBatch pending_;  // mutations buffered during refinement

@@ -28,7 +28,7 @@ namespace graphbolt {
 struct EdgeMapOptions {
   // Switch to the dense direction when the frontier's outgoing edges exceed
   // |E| / denseness_denominator (Ligra uses |E|/20).
-  uint64_t denseness_denominator = 20;
+  uint64_t denseness_denominator = kDenseFrontierDenominator;
   // Force one direction (for testing and for algorithms that require push
   // or pull semantics).
   bool force_sparse = false;

@@ -19,6 +19,54 @@
 
 namespace graphbolt {
 
+// Ligra's density threshold: a frontier is dense once its out-edges
+// exceed |E| / 20. EdgeMap's direction choice (the default of
+// EdgeMapOptions::denseness_denominator), GraphBoltEngine's refinement
+// levels, and FrontierBuilder::TakeAuto (on the vertex axis: past 1/20th
+// of the universe, sweeping bits beats packing) all use this one value.
+inline constexpr uint64_t kDenseFrontierDenominator = 20;
+
+// The ids in [0, universe) that satisfy `pred`, ascending. A blocked
+// two-pass pack — per-block counts, a prefix sum, then a parallel fill, the
+// same shape as ParallelPrefixSum — so a large universe is swept by the
+// whole arena while block order keeps the result sorted. `pred` is called
+// concurrently, once per id per pass.
+template <typename Pred>
+std::vector<VertexId> PackIds(VertexId universe, const Pred& pred) {
+  constexpr size_t kBlock = 4096;
+  const size_t n = universe;
+  std::vector<VertexId> ids;
+  if (n < 2 * kBlock) {
+    for (VertexId v = 0; v < universe; ++v) {
+      if (pred(v)) {
+        ids.push_back(v);
+      }
+    }
+    return ids;
+  }
+  const size_t blocks = (n + kBlock - 1) / kBlock;
+  std::vector<size_t> offsets(blocks);
+  ParallelFor(0, blocks, [&](size_t b) {
+    const size_t hi = std::min(n, (b + 1) * kBlock);
+    size_t count = 0;
+    for (size_t v = b * kBlock; v < hi; ++v) {
+      count += pred(static_cast<VertexId>(v)) ? 1 : 0;
+    }
+    offsets[b] = count;
+  }, /*grain=*/1);
+  ids.resize(ExclusivePrefixSum(offsets));
+  ParallelFor(0, blocks, [&](size_t b) {
+    const size_t hi = std::min(n, (b + 1) * kBlock);
+    size_t out = offsets[b];
+    for (size_t v = b * kBlock; v < hi; ++v) {
+      if (pred(static_cast<VertexId>(v))) {
+        ids[out++] = static_cast<VertexId>(v);
+      }
+    }
+  }, /*grain=*/1);
+  return ids;
+}
+
 class VertexSubset {
  public:
   VertexSubset() = default;
@@ -237,51 +285,16 @@ class FrontierBuilder {
 
   bool Contains(VertexId v) const { return claimed_.Test(v); }
 
-  // Collects all claimed vertices into a subset. The O(universe) scan runs
-  // as a blocked two-pass pack (per-block claim counts, prefix sum, then a
-  // parallel fill — the same shape as ParallelPrefixSum) so a large
-  // universe is swept by the whole arena; block order keeps the member
-  // vector sorted either way. The claim bitset is copied into the subset as
-  // its ready-made dense view (an O(universe/64) word copy, noise next to
-  // the scan), so EdgeMap's dense direction never rebuilds it — and the
-  // builder stays usable for further claims.
+  // Collects all claimed vertices into a subset through the blocked
+  // parallel pack (PackIds), so a large universe is swept by the whole
+  // arena and the member vector comes out sorted. The claim bitset is
+  // copied into the subset as its ready-made dense view (an
+  // O(universe/64) word copy, noise next to the scan), so EdgeMap's dense
+  // direction never rebuilds it — and the builder stays usable for further
+  // claims.
   VertexSubset Take() const {
-    constexpr size_t kBlock = 4096;
-    const size_t n = universe_;
-    if (n < 2 * kBlock) {
-      VertexSubset subset(universe_);
-      for (VertexId v = 0; v < universe_; ++v) {
-        if (claimed_.Test(v)) {
-          subset.Add(v);
-        }
-      }
-      subset.AdoptDense(claimed_);
-      return subset;
-    }
-    const size_t blocks = (n + kBlock - 1) / kBlock;
-    std::vector<size_t> offsets(blocks);
-    ParallelFor(0, blocks, [&](size_t b) {
-      const size_t lo = b * kBlock;
-      const size_t hi = lo + kBlock < n ? lo + kBlock : n;
-      size_t count = 0;
-      for (size_t v = lo; v < hi; ++v) {
-        count += claimed_.Test(static_cast<VertexId>(v)) ? 1 : 0;
-      }
-      offsets[b] = count;
-    }, /*grain=*/1);
-    const size_t total = ExclusivePrefixSum(offsets);
-    std::vector<VertexId> members(total);
-    ParallelFor(0, blocks, [&](size_t b) {
-      const size_t lo = b * kBlock;
-      const size_t hi = lo + kBlock < n ? lo + kBlock : n;
-      size_t out = offsets[b];
-      for (size_t v = lo; v < hi; ++v) {
-        if (claimed_.Test(static_cast<VertexId>(v))) {
-          members[out++] = static_cast<VertexId>(v);
-        }
-      }
-    }, /*grain=*/1);
-    VertexSubset subset = VertexSubset::FromSorted(universe_, std::move(members));
+    VertexSubset subset = VertexSubset::FromSorted(
+        universe_, PackIds(universe_, [this](VertexId v) { return claimed_.Test(v); }));
     subset.AdoptDense(claimed_);
     return subset;
   }
@@ -299,24 +312,20 @@ class FrontierBuilder {
   // Auto-picks the result representation from the frontier's density — the
   // vertex-axis analogue of Ligra's push/pull chooser, applied at the
   // producer instead of every call site. A dense frontier (at least
-  // universe / kDenseResultDenominator members) comes back dense-only: its
+  // universe / kDenseFrontierDenominator members) comes back dense-only: its
   // consumers sweep the whole universe anyway (a pull step, a bit-test
   // walk), so the O(universe) sparse pack is pure overhead. A sparse
   // frontier packs as before — a bit-test sweep would dwarf its
   // O(|frontier|) member walk.
   VertexSubset TakeAuto() const {
     const size_t count = claimed_.Count();
-    if (count * kDenseResultDenominator >= static_cast<size_t>(universe_)) {
+    if (count * kDenseFrontierDenominator >= static_cast<size_t>(universe_)) {
       return VertexSubset::FromDense(universe_, claimed_, count);
     }
     return Take();
   }
 
  private:
-  // Mirrors EdgeMapOptions::denseness_denominator (Ligra's |E|/20) on the
-  // vertex axis: past 1/20th of the universe, sweeping bits beats packing.
-  static constexpr size_t kDenseResultDenominator = 20;
-
   VertexId universe_;
   AtomicBitset claimed_;
 };

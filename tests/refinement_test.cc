@@ -3,12 +3,21 @@
 // dependency-store bookkeeping, and refinement edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
+#include <string>
+#include <vector>
+
+#include "src/algorithms/coem.h"
 #include "src/algorithms/label_propagation.h"
 #include "src/algorithms/pagerank.h"
+#include "src/algorithms/personalized_pagerank.h"
 #include "src/core/dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
 #include "src/graph/generators.h"
+#include "src/parallel/thread_pool.h"
 #include "src/stream/update_stream.h"
 #include "tests/test_util.h"
 
@@ -299,6 +308,197 @@ TEST(Refinement, StatsReportRefinementWork) {
   EXPECT_EQ(bolt.stats().iterations, 10u);
   EXPECT_GE(bolt.stats().seconds, 0.0);
   EXPECT_GE(bolt.stats().mutation_seconds, 0.0);
+}
+
+// ----- Direction choice: sparse levels push, dense levels pull ------------------
+
+// An R-MAT graph plus a small ring-with-chords component it cannot reach and
+// that cannot reach it, and two batches on it: one mutation inside the small
+// component, whose refinement frontier therefore stays sparse, and |V|/10
+// uniform mutations, whose frontier is dense from level 1.
+struct DirectionCase {
+  static constexpr VertexId kRmatVertices = 2000;
+  static constexpr VertexId kClusterVertices = 30;
+
+  EdgeList initial;
+  MutationBatch sparse;
+  MutationBatch dense;
+
+  DirectionCase() {
+    const EdgeList full = GenerateRmat(kRmatVertices, 16000, {.seed = 94});
+    StreamSplit split = SplitForStreaming(full, 0.6, 95);
+    initial = std::move(split.initial);
+    initial.set_num_vertices(kRmatVertices + kClusterVertices);
+    for (VertexId i = 0; i < kClusterVertices; ++i) {
+      initial.Add(kRmatVertices + i, kRmatVertices + (i + 1) % kClusterVertices);
+      initial.Add(kRmatVertices + i, kRmatVertices + (i + 7) % kClusterVertices);
+    }
+    sparse = {EdgeMutation::Add(kRmatVertices + 3, kRmatVertices + 17)};
+    MutableGraph scratch(initial);
+    UpdateStream stream(split.held_back, 96);
+    dense = stream.NextBatch(scratch, {.size = (kRmatVertices + kClusterVertices) / 10,
+                                       .add_fraction = 0.5});
+  }
+
+  VertexId num_vertices() const { return initial.num_vertices(); }
+};
+
+// Out-edges of the batch endpoints whose context the batch changed: the
+// level-1 frontier's out-edges. Those vertices stay in the frontier at every
+// level, so past |E|/20 every refined level pulls.
+uint64_t ContextChangedOutEdges(const EdgeList& initial, const MutationBatch& batch) {
+  MutableGraph graph(initial);
+  const std::vector<VertexContext> before = ComputeVertexContexts(graph);
+  graph.ApplyBatch(batch);
+  const std::vector<VertexContext> after = ComputeVertexContexts(graph);
+  std::vector<VertexId> endpoints;
+  for (const EdgeMutation& m : batch) {
+    endpoints.push_back(m.src);
+    endpoints.push_back(m.dst);
+  }
+  std::sort(endpoints.begin(), endpoints.end());
+  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()), endpoints.end());
+  uint64_t edges = 0;
+  for (const VertexId v : endpoints) {
+    edges += before[v] == after[v] ? 0 : graph.OutDegree(v);
+  }
+  return edges;
+}
+
+// Out-edges of everything reachable from the batch endpoints after the
+// batch: a bound on every level's frontier out-edges, so below |E|/20 every
+// refined level pushes.
+uint64_t ReachableOutEdges(const EdgeList& initial, const MutationBatch& batch) {
+  MutableGraph graph(initial);
+  graph.ApplyBatch(batch);
+  std::vector<bool> seen(graph.num_vertices(), false);
+  std::deque<VertexId> queue;
+  for (const EdgeMutation& m : batch) {
+    for (const VertexId v : {m.src, m.dst}) {
+      if (!seen[v]) {
+        seen[v] = true;
+        queue.push_back(v);
+      }
+    }
+  }
+  uint64_t edges = 0;
+  while (!queue.empty()) {
+    const VertexId u = queue.front();
+    queue.pop_front();
+    edges += graph.OutDegree(u);
+    for (const VertexId w : graph.OutNeighbors(u)) {
+      if (!seen[w]) {
+        seen[w] = true;
+        queue.push_back(w);
+      }
+    }
+  }
+  return edges;
+}
+
+uint64_t DenseThreshold(const EdgeList& initial, const MutationBatch& batch) {
+  MutableGraph graph(initial);
+  graph.ApplyBatch(batch);
+  return graph.num_edges() / kDenseFrontierDenominator;
+}
+
+// Restores the arena width a test found when it ends.
+class ArenaWidthGuard {
+ public:
+  ArenaWidthGuard() : width_(ThreadPool::Instance().num_threads()) {}
+  ~ArenaWidthGuard() { ThreadPool::SetNumThreads(width_); }
+
+ private:
+  size_t width_;
+};
+
+// Refines `batch` at arena widths 1, 2 and 4 and checks each result against
+// a from-scratch Ligra run on the mutated graph.
+template <typename Algo>
+void ExpectRefinementMatchesLigra(const Algo& algo, const EdgeList& initial,
+                                  const MutationBatch& batch) {
+  ArenaWidthGuard guard;
+  for (const size_t width : {1, 2, 4}) {
+    SCOPED_TRACE("arena width " + std::to_string(width));
+    ThreadPool::SetNumThreads(width);
+    MutableGraph g1(initial);
+    MutableGraph g2(initial);
+    GraphBoltEngine<Algo> bolt(&g1, algo);
+    bolt.InitialCompute();
+    LigraEngine<Algo> ligra(&g2, algo);
+    ligra.InitialCompute();
+    bolt.ApplyMutations(batch);
+    ligra.ApplyMutations(batch);
+    EXPECT_LT(MaxGap(bolt.values(), ligra.values()), 1e-8);
+  }
+}
+
+template <typename Algo>
+void ExpectBothDirectionsMatchLigra(const Algo& algo, const DirectionCase& c) {
+  {
+    SCOPED_TRACE("sparse batch");
+    ExpectRefinementMatchesLigra(algo, c.initial, c.sparse);
+  }
+  {
+    SCOPED_TRACE("dense batch");
+    ExpectRefinementMatchesLigra(algo, c.initial, c.dense);
+  }
+}
+
+TEST(RefinementDirection, BatchesHaveTheIntendedDensity) {
+  const DirectionCase c;
+  EXPECT_LE(ReachableOutEdges(c.initial, c.sparse), DenseThreshold(c.initial, c.sparse));
+  EXPECT_GE(c.dense.size(), c.num_vertices() / 10);
+  EXPECT_GT(ContextChangedOutEdges(c.initial, c.dense), DenseThreshold(c.initial, c.dense));
+}
+
+TEST(RefinementDirection, PageRankMatchesLigra) {
+  const DirectionCase c;
+  ExpectBothDirectionsMatchLigra(PageRank{}, c);
+}
+
+TEST(RefinementDirection, CoEMMatchesLigra) {
+  const DirectionCase c;
+  ExpectBothDirectionsMatchLigra(CoEM(c.num_vertices(), 0.05, 97), c);
+}
+
+TEST(RefinementDirection, LabelPropagationMatchesLigra) {
+  const DirectionCase c;
+  ExpectBothDirectionsMatchLigra(LabelPropagation<2>(c.num_vertices(), 0.1, 98), c);
+}
+
+TEST(RefinementDirection, PersonalizedPageRankMatchesLigra) {
+  const DirectionCase c;
+  // One source in the small component so the sparse batch moves values.
+  const std::vector<VertexId> sources = {0, 1, 5, DirectionCase::kRmatVertices + 2};
+  ExpectBothDirectionsMatchLigra(PersonalizedPageRank(sources, c.num_vertices()), c);
+}
+
+TEST(RefinementDirection, DenseLevelsAreBitwiseReproducibleAcrossWidths) {
+  // Every refined level of the dense batch pulls, and a pull level sums each
+  // target in a fixed order, so the refined values do not depend on the
+  // arena width. The initial run (schedule-ordered push iterations) is kept
+  // at width 1 so every engine refines from the same bits.
+  const DirectionCase c;
+  ASSERT_GT(ContextChangedOutEdges(c.initial, c.dense), DenseThreshold(c.initial, c.dense));
+  ArenaWidthGuard guard;
+  std::vector<std::vector<double>> results;
+  for (const size_t width : {1, 2, 4}) {
+    ThreadPool::SetNumThreads(1);
+    MutableGraph graph(c.initial);
+    GraphBoltEngine<PageRank> bolt(&graph, PageRank{});
+    bolt.InitialCompute();
+    ThreadPool::SetNumThreads(width);
+    bolt.ApplyMutations(c.dense);
+    results.push_back(bolt.values());
+  }
+  for (size_t i = 1; i < results.size(); ++i) {
+    ASSERT_EQ(results[i].size(), results[0].size());
+    EXPECT_EQ(std::memcmp(results[i].data(), results[0].data(),
+                          results[0].size() * sizeof(double)),
+              0)
+        << "width " << (size_t{1} << i) << " differs from width 1";
+  }
 }
 
 }  // namespace
