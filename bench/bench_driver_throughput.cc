@@ -1,5 +1,5 @@
 // Driver ingestion throughput: batch-size sweep on the single-lane
-// StreamDriver, a shard-count sweep on the ShardedDriver, and the
+// (shards = 1) driver, a shard-count sweep over 1/2/4/8 lanes, and the
 // single-update serving-latency sweep (fast path vs. batch-size-1
 // flush-to-barrier).
 //
@@ -34,7 +34,6 @@
 #include "src/algorithms/pagerank.h"
 #include "src/algorithms/sssp.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/kickstarter/kickstarter_engine.h"
 #include "src/shard/driver_config.h"
 #include "src/shard/sharded_driver.h"
@@ -65,8 +64,8 @@ Row RunOnce(const StreamSplit& split, size_t batch_size) {
   Row row;
   row.batch_size = batch_size;
   {
-    StreamDriver<GraphBoltEngine<PageRank>> driver(
-        &engine, {.batch_size = batch_size, .flush_interval_seconds = 0.5});
+    ShardedDriver<GraphBoltEngine<PageRank>> driver(
+        &engine, {.shards = 1, .batch_size = batch_size, .flush_interval_seconds = 0.5});
     Timer total;
     Timer ingest;
     for (const Edge& e : split.held_back) {
@@ -179,9 +178,10 @@ template <StreamingEngine Engine>
 LatencyRow MeasureLatency(Engine& engine, const std::vector<EdgeMutation>& safe_updates,
                           size_t updates, bool fast) {
   engine.InitialCompute();
-  StreamDriver<Engine> driver(&engine, {.batch_size = fast ? (1u << 20) : 1,
-                                        .flush_interval_seconds = 3600.0,
-                                        .fast_path = fast});
+  ShardedDriver<Engine> driver(&engine, {.shards = 1,
+                                         .batch_size = fast ? (1u << 20) : 1,
+                                         .flush_interval_seconds = 3600.0,
+                                         .fast_path = fast});
   // Untimed warmup: fault in the claim stripes, the gutter, and the pool
   // threads so the timed distribution measures the steady state, not
   // first-touch costs.
@@ -409,17 +409,18 @@ FreshnessRow RunFreshnessFlood(AsyncModePolicy policy) {
   engine.InitialCompute();
 
   FreshnessRow row;
-  using Driver = StreamDriver<GraphBoltEngine<PageRank>>;
   {
-    Driver driver(&engine, {.batch_size = 1u << 20,
-                            .flush_interval_seconds = 0.005,
-                            .max_pending_batches = 1,
-                            .overflow = Driver::OverflowPolicy::kDegrade,
-                            .coalesce = false,
-                            .governor = {.degrade_pressure_seconds = 0.0,
-                                         .recover_pressure_seconds = 0.0},
-                            .async_mode = policy,
-                            .async_step_budget = 256});
+    ShardedDriver<GraphBoltEngine<PageRank>> driver(
+        &engine, {.shards = 1,
+                  .batch_size = 1u << 20,
+                  .flush_interval_seconds = 0.005,
+                  .max_pending_batches = 1,
+                  .overflow = OverflowPolicy::kDegrade,
+                  .coalesce = false,
+                  .async_mode = policy,
+                  .async_step_budget = 256,
+                  .governor = {.degrade_pressure_seconds = 0.0,
+                               .recover_pressure_seconds = 0.0}});
     // Warm the latency EWMA with one normally-applied batch.
     driver.IngestBatch(chunks[0]);
     driver.Flush();
@@ -504,7 +505,7 @@ void RunAsyncFreshnessSweep(BenchJson& json) {
 
 void Run() {
   PrintHeader(
-      "StreamDriver throughput: single-producer Ingest() of the held-back\n"
+      "Single-lane driver throughput: one producer Ingest()s the held-back\n"
       "addition stream (WK* surrogate, PageRank engine) swept over the\n"
       "gutter batch size. 'ingest' excludes and 'end-to-end' includes the\n"
       "final PrepQuery() drain.");

@@ -21,7 +21,7 @@
 //
 // GRAPHBOLT_BG_COMPACTION=1 switches the full (timed) sweep to background
 // compaction too — maintenance runs untimed between batches, mirroring the
-// StreamDriver quiescent-window placement — and the JSON rows record which
+// driver quiescent-window placement — and the JSON rows record which
 // mode produced them in `compaction_mode`.
 #include <algorithm>
 #include <cstdint>
@@ -126,7 +126,7 @@ void SweepInput(const char* label, const EdgeList& full, BenchJson& json) {
       graph.ApplyBatch(batch);
       new_seconds += timer.Seconds();
       if (background) {
-        // Untimed, like the StreamDriver quiescent window the maintenance
+        // Untimed, like the driver quiescent window the maintenance
         // steps normally run in: reclamation cost stays off the apply path.
         while (graph.MaintenanceStep(1 << 15)) {
         }

@@ -21,7 +21,6 @@
 #include "bench/harness.h"
 #include "src/algorithms/pagerank.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/fault/checkpoint.h"
 #include "src/shard/driver_config.h"
 #include "src/shard/sharded_driver.h"
@@ -64,10 +63,12 @@ Row RunOnce(const StreamSplit& split, const std::vector<MutationBatch>& batches,
   {
     Checkpointer<Engine> checkpointer(&engine, &graph,
                                       {.directory = dir, .cadence_batches = cadence});
-    StreamDriver<Engine> driver(&engine, {.batch_size = kBatchSize,
-                                          .flush_interval_seconds = 3600.0,
-                                          .coalesce = false,
-                                          .checkpointer = &checkpointer});
+    ShardedDriver<Engine> driver(&engine,
+                                 {.shards = 1,
+                                  .batch_size = kBatchSize,
+                                  .flush_interval_seconds = 3600.0,
+                                  .coalesce = false},
+                                 &checkpointer);
     driver.CheckpointNow();  // baseline snapshot so cadence 0 can recover
     Timer stream;
     for (const MutationBatch& batch : batches) {
@@ -88,7 +89,7 @@ Row RunOnce(const StreamSplit& split, const std::vector<MutationBatch>& batches,
   Engine cold(&cold_graph, PageRank(0.85, kBenchTolerance));
   Checkpointer<Engine> restorer(&cold, &cold_graph,
                                 {.directory = dir, .cadence_batches = cadence});
-  StreamDriver<Engine> cold_driver(&cold, {.checkpointer = &restorer});
+  ShardedDriver<Engine> cold_driver(&cold, {}, &restorer);
   Timer recovery;
   const bool recovered = cold_driver.Recover();
   row.recovery_ms = recovery.Seconds() * 1e3;
@@ -105,7 +106,7 @@ Row RunOnce(const StreamSplit& split, const std::vector<MutationBatch>& batches,
 // Time-to-recover through ShardedDriver::Recover(): checkpoint restore, then
 // every lane's WAL lineage scanned in parallel and merged back into the
 // global promotion order, then the global journal tail sweep. shards=1
-// prices the lane machinery against the unsharded cadence sweep above;
+// prices the lane lineages against the global-WAL cadence sweep above;
 // shards=4 is the scaling claim — the replay tail is scanned lane-parallel,
 // so RTO falls as lanes multiply while the recovered state stays bitwise
 // identical to the promotion order.
@@ -194,10 +195,14 @@ struct OverloadRow {
   double apply_ewma_ms = 0.0;    // governor's view of per-batch apply cost
 };
 
+// Every lane gets the depth-2 queue, the shed log is shared (sequence-tagged,
+// replayed behind the global PrepQuery barrier), and the degrade governor
+// coordinates across lanes. shards=4 shows how much of the overload the
+// extra lanes absorb before the sentinel engages.
 OverloadRow RunOverload(const StreamSplit& split,
-                        const std::vector<MutationBatch>& batches,
-                        StreamDriver<Engine>::OverflowPolicy policy,
-                        const char* policy_name, const std::string& dir) {
+                               const std::vector<MutationBatch>& batches,
+                               OverflowPolicy policy, const char* policy_name,
+                               size_t shards, const std::string& dir) {
   std::filesystem::remove_all(dir);
   OverloadRow row;
   row.policy = policy_name;
@@ -207,18 +212,20 @@ OverloadRow RunOverload(const StreamSplit& split,
   engine.InitialCompute();
   Checkpointer<Engine> checkpointer(&engine, &graph,
                                     {.directory = dir, .cadence_batches = 16});
-  StreamDriver<Engine> driver(
-      &engine, {.batch_size = kBatchSize,
-                .flush_interval_seconds = 3600.0,
-                .max_pending_batches = kOverloadQueueDepth,
-                .overflow = policy,
-                .coalesce = false,
-                .checkpointer = &checkpointer,
-                // Trip the degraded mode on bench-sized applies: with the
-                // default 2 s pressure threshold a sub-millisecond PageRank
-                // apply would never register as overload.
-                .governor = {.degrade_pressure_seconds = 1e-3,
-                             .recover_pressure_seconds = 1e-4}});
+  DriverConfig config;
+  config.shards = shards;
+  config.batch_size = kBatchSize;
+  config.flush_interval_seconds = 3600.0;
+  config.max_pending_batches = kOverloadQueueDepth;
+  config.overflow = policy;
+  config.coalesce = false;
+  config.checkpoint_dir = dir;
+  // Trip the degraded mode on bench-sized applies: with the default 2 s
+  // pressure threshold a sub-millisecond PageRank apply would never
+  // register as overload.
+  config.governor = {.degrade_pressure_seconds = 1e-3,
+                     .recover_pressure_seconds = 1e-4};
+  ShardedDriver<Engine> driver(&engine, config, &checkpointer);
   driver.CheckpointNow();
 
   Timer ingest;
@@ -251,73 +258,6 @@ OverloadRow RunOverload(const StreamSplit& split,
 
   // Every policy here is lossless; on an addition-only stream the final graph
   // is order-independent, so all four must land on the same edge count.
-  MutableGraph expected(split.initial);
-  for (const MutationBatch& batch : batches) {
-    expected.ApplyBatch(batch);
-  }
-  GB_CHECK(graph.num_edges() == expected.num_edges());
-
-  std::filesystem::remove_all(dir);
-  return row;
-}
-
-// ----- Sharded overload scenario ---------------------------------------------
-// The same flood pushed through ShardedDriver lanes: every lane gets the
-// depth-2 queue, the shed log is shared (sequence-tagged, replayed behind the
-// global PrepQuery barrier), and the degrade governor coordinates across
-// lanes. shards=1 isolates the lane machinery's own cost; shards=4 shows how
-// much of the overload the extra lanes absorb before the sentinel engages.
-
-OverloadRow RunShardedOverload(const StreamSplit& split,
-                               const std::vector<MutationBatch>& batches,
-                               OverflowPolicy policy, const char* policy_name,
-                               size_t shards, const std::string& dir) {
-  std::filesystem::remove_all(dir);
-  OverloadRow row;
-  row.policy = policy_name;
-
-  MutableGraph graph(split.initial);
-  Engine engine(&graph, PageRank(0.85, kBenchTolerance));
-  engine.InitialCompute();
-  Checkpointer<Engine> checkpointer(&engine, &graph,
-                                    {.directory = dir, .cadence_batches = 16});
-  DriverConfig config;
-  config.shards = shards;
-  config.batch_size = kBatchSize;
-  config.flush_interval_seconds = 3600.0;
-  config.max_pending_batches = kOverloadQueueDepth;
-  config.overflow = policy;
-  config.coalesce = false;
-  config.checkpoint_dir = dir;
-  config.governor = {.degrade_pressure_seconds = 1e-3,
-                     .recover_pressure_seconds = 1e-4};
-  ShardedDriver<Engine> driver(&engine, config, &checkpointer);
-  driver.CheckpointNow();
-
-  Timer ingest;
-  for (const MutationBatch& batch : batches) {
-    driver.IngestBatch(batch);
-    driver.Flush();
-  }
-  row.ingest_seconds = ingest.Seconds();
-  Timer barrier;
-  driver.PrepQuery();
-  for (int i = 0; (driver.degraded() || driver.pending_mutations() > 0) && i < 1000;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    driver.PrepQuery();
-  }
-  row.barrier_seconds = barrier.Seconds();
-  driver.Stop();
-
-  const EngineStats stats = driver.stats();
-  row.shed_to_wal = stats.mutations_shed_to_wal;
-  row.shed_replayed = stats.shed_batches_replayed;
-  row.evictions = stats.shed_oldest_evictions;
-  row.degraded_entries = stats.degraded_entries;
-  row.degraded_queries = stats.degraded_queries;
-  row.apply_ewma_ms = stats.apply_ewma_seconds * 1e3;
-
   MutableGraph expected(split.initial);
   for (const MutationBatch& batch : batches) {
     expected.ApplyBatch(batch);
@@ -397,25 +337,25 @@ void Run() {
 
   PrintHeader(
       "Overload / shedding sweep: same stream (additions only) flooded into\n"
-      "a depth-2 queue with no pacing, one settling barrier at the end. All\n"
-      "policies are lossless; the sweep measures where the waiting moved.");
+      "a depth-2 queue of a single-lane driver with no pacing, one settling\n"
+      "barrier at the end. All policies are lossless; the sweep measures\n"
+      "where the waiting moved.");
 
   const std::vector<MutationBatch> flood =
       MakeBatches(split, kBatches, {.size = kBatchSize, .add_fraction = 1.0}, 11);
-  using Overflow = StreamDriver<Engine>::OverflowPolicy;
   constexpr struct {
-    Overflow policy;
+    OverflowPolicy policy;
     const char* name;
-  } kPolicies[] = {{Overflow::kBlock, "block"},
-                   {Overflow::kShedToWal, "shed-to-wal"},
-                   {Overflow::kShedOldest, "shed-oldest"},
-                   {Overflow::kDegrade, "degrade"}};
+  } kPolicies[] = {{OverflowPolicy::kBlock, "block"},
+                   {OverflowPolicy::kShedToWal, "shed-to-wal"},
+                   {OverflowPolicy::kShedOldest, "shed-oldest"},
+                   {OverflowPolicy::kDegrade, "degrade"}};
 
   std::printf("\n%12s %10s %11s %8s %9s %7s %9s %9s %9s\n", "policy", "ingest(s)",
               "barrier(s)", "shed", "replayed", "evict", "degr.in", "degr.qry",
               "ewma(ms)");
   for (const auto& entry : kPolicies) {
-    const OverloadRow row = RunOverload(split, flood, entry.policy, entry.name, dir);
+    const OverloadRow row = RunOverload(split, flood, entry.policy, entry.name, 1, dir);
     std::printf("%12s %10.3f %11.3f %8llu %9llu %7llu %9llu %9llu %9.3f\n", row.policy,
                 row.ingest_seconds, row.barrier_seconds,
                 static_cast<unsigned long long>(row.shed_to_wal),
@@ -448,20 +388,12 @@ void Run() {
       "overload before the sentinel engages.");
 
   constexpr size_t kShardCounts[] = {1, 4};
-  constexpr struct {
-    OverflowPolicy policy;
-    const char* name;
-  } kShardedPolicies[] = {{OverflowPolicy::kBlock, "block"},
-                          {OverflowPolicy::kShedToWal, "shed-to-wal"},
-                          {OverflowPolicy::kShedOldest, "shed-oldest"},
-                          {OverflowPolicy::kDegrade, "degrade"}};
   std::printf("\n%7s %12s %10s %11s %8s %9s %7s %9s %9s\n", "shards", "policy",
               "ingest(s)", "barrier(s)", "shed", "replayed", "evict", "degr.in",
               "degr.qry");
   for (const size_t shards : kShardCounts) {
-    for (const auto& entry : kShardedPolicies) {
-      const OverloadRow row =
-          RunShardedOverload(split, flood, entry.policy, entry.name, shards, dir);
+    for (const auto& entry : kPolicies) {
+      const OverloadRow row = RunOverload(split, flood, entry.policy, entry.name, shards, dir);
       std::printf("%7zu %12s %10.3f %11.3f %8llu %9llu %7llu %9llu %9llu\n", shards,
                   row.policy, row.ingest_seconds, row.barrier_seconds,
                   static_cast<unsigned long long>(row.shed_to_wal),

@@ -24,8 +24,8 @@
 // the global checkpointer (WAL + cadence snapshots); after the stream
 // drains, the example cold-recovers a second engine purely from disk and
 // checks it agrees with the live one — the restart story a real service
-// needs, deliberately run through an unsharded StreamDriver to show the
-// recovery protocol is shared.
+// needs, deliberately run through a single-lane driver to show the
+// recovery protocol does not depend on the shard count.
 //
 // --quarantine-dir arms admission screening: the example offers one poison
 // batch (NaN weights) through a session to show it being parked in the
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.degraded_queries),
                 static_cast<unsigned long long>(stats.stalls_detected),
                 static_cast<unsigned long long>(stats.watchdog_recoveries));
-    // Async-fresh serving (--async-mode degrade-only|auto with --overflow
+    // Async-fresh serving (--async-mode degrade-only with --overflow
     // degrade): how often the engine flipped into the delta-accumulative
     // tier, how many queries were served eventually-consistent values, and
     // the convergence residual — the freshness bound — they were served at.
@@ -250,9 +250,9 @@ int main(int argc, char** argv) {
 
   // Restart story: a brand-new process (fresh graph + engine) recovers the
   // service state purely from the checkpoint directory. Recovery goes
-  // through an unsharded StreamDriver on purpose — the sharded driver
-  // journals through the same global checkpointer protocol, so either
-  // driver shape restores the other's checkpoints. The WAL tail is
+  // through a single-lane driver on purpose — every shard count journals
+  // through the same global checkpointer protocol, so any shape restores
+  // any other's checkpoints. The WAL tail is
   // replayed with the multi-threaded engine, so agreement is to fp
   // headroom rather than bitwise (parallel reduction order differs).
   if (checkpointer) {
@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
     Checkpointer<GraphBoltEngine<PageRank>> restorer(
         &cold, &cold_graph,
         {.directory = config.checkpoint_dir, .cadence_batches = config.checkpoint_every});
-    StreamDriver<GraphBoltEngine<PageRank>> cold_driver(&cold, {.checkpointer = &restorer});
+    ShardedDriver<GraphBoltEngine<PageRank>> cold_driver(&cold, {}, &restorer);
     Timer recovery;
     if (!cold_driver.Recover()) {
       std::printf("FAIL: recovery found no usable checkpoint in %s\n",

@@ -159,30 +159,12 @@ class GraphBoltEngine {
     return applied;
   }
 
-  // Buffers mutations that arrive while a refinement is in flight (§4.1:
-  // "Mutations arriving during refinement are buffered to prioritize
-  // latency of the ongoing refinement step, and are applied immediately
-  // after refining finishes"). Call ProcessPending() at the next quiescent
-  // point to apply everything buffered so far as one batch.
-  void EnqueueMutations(const MutationBatch& batch) {
-    pending_.insert(pending_.end(), batch.begin(), batch.end());
-  }
-
-  size_t pending_mutation_count() const { return pending_.size(); }
-
-  AppliedMutations ProcessPending() {
-    MutationBatch batch;
-    batch.swap(pending_);
-    return ApplyMutations(batch);
-  }
-
   // Streams the engine's computed state (values + dependency store) so a
   // streaming session can resume in a fresh process — or so a Checkpointer
   // (src/fault/checkpoint.h) can embed it in a checkpoint file. The graph
   // itself is saved separately; LoadStateFrom must be called on an engine
   // whose graph already holds the same snapshot (contexts are recomputed
-  // from it). Mutations buffered via EnqueueMutations are not part of the
-  // persisted state. Returns false on IO failure or mismatched state.
+  // from it). Returns false on IO failure or mismatched state.
   bool SaveStateTo(std::ostream& out) const {
     static_assert(std::is_trivially_copyable_v<Value>);
     const uint64_t magic = kStateMagic;
@@ -244,7 +226,7 @@ class GraphBoltEngine {
   const StoreT& store() const { return store_; }
   const Algo& algorithm() const { return algo_; }
 
-  // The graph this engine computes over; StreamDriver uses it to run
+  // The graph this engine computes over; the driver uses it to run
   // background-compaction maintenance between batches.
   MutableGraph* mutable_graph() { return graph_; }
 
@@ -1436,7 +1418,6 @@ class GraphBoltEngine {
   std::vector<VertexId> stale_contexts_;  // fast-path splice endpoints since Refine
   StoreT store_;
   EngineStats stats_;
-  MutationBatch pending_;  // mutations buffered during refinement
 
   // Async-mode state (empty while in BSP mode).
   bool async_mode_ = false;

@@ -8,7 +8,7 @@
 //                    more). The triangle-counting engines live here: their
 //                    result is a scalar count, not per-vertex values.
 //   StreamingEngine  a BatchEngine that also exposes per-vertex values();
-//                    what StreamDriver and differential tests require.
+//                    what the driver and differential tests require.
 //
 // Four engines satisfy StreamingEngine — LigraEngine (restart), ResetEngine
 // (delta + restart), GraphBoltEngine (dependency-driven refinement), and
@@ -32,7 +32,7 @@
 //
 // Engines are NOT internally synchronized: InitialCompute/ApplyMutations
 // must not run concurrently with each other or with values()/stats()
-// readers. StreamDriver (src/driver/stream_driver.h) provides that
+// readers. ShardedDriver (src/shard/sharded_driver.h) provides that
 // serialization for concurrent producers.
 #ifndef SRC_CORE_STREAMING_ENGINE_H_
 #define SRC_CORE_STREAMING_ENGINE_H_
@@ -69,7 +69,7 @@ concept StreamingEngine =
 // the graph itself (values, dependency store, ...), LoadStateFrom restores
 // it against an already-restored graph and returns false on malformed
 // input. What Checkpointer (src/fault/checkpoint.h) and
-// StreamDriver::Recover() require.
+// ShardedDriver::Recover() require.
 template <typename E>
 concept CheckpointableEngine =
     StreamingEngine<E> && requires(E engine, const E& const_engine, std::ostream& out,

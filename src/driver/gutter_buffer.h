@@ -13,7 +13,7 @@
 // later mutation of the same pair supersedes is dead weight — dropping it
 // here is exactly equivalent and saves the engine the normalization work.
 //
-// Not thread-safe; StreamDriver serializes access under its own mutex.
+// Not thread-safe; the driver serializes access under its lane mutex.
 #ifndef SRC_DRIVER_GUTTER_BUFFER_H_
 #define SRC_DRIVER_GUTTER_BUFFER_H_
 

@@ -79,7 +79,7 @@ class LigraEngine {
     return applied;
   }
 
-  // The graph this engine computes over; StreamDriver uses it to run
+  // The graph this engine computes over; the driver uses it to run
   // background-compaction maintenance between batches.
   MutableGraph* mutable_graph() { return graph_; }
 

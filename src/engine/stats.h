@@ -9,7 +9,7 @@
 // first, then clears, then assigns `mutation_seconds`, so the mutation
 // timing of the current batch is never lost to its own Clear().
 //
-// StreamDriver (src/driver/stream_driver.h) reports through the same
+// ShardedDriver (src/shard/sharded_driver.h) reports through the same
 // struct but with the opposite lifecycle: its stats are *cumulative* over
 // the driver's lifetime (engine fields summed across applied batches,
 // driver fields counted since construction). Bare engines leave the driver
@@ -34,7 +34,7 @@ struct EngineStats {
   double mutation_seconds = 0.0;
 
   // ----- Scheduler counters (TaskArena deltas over the most recent call;
-  // cumulative across batches under StreamDriver, like everything above) ---
+  // cumulative across batches under the driver, like everything above) ----
   // Closures pushed into a work-stealing deque during the call.
   uint64_t tasks_forked = 0;
   // Deque pops that crossed threads (load imbalance actually corrected).
@@ -45,7 +45,7 @@ struct EngineStats {
   // Closures pushed into the arena's priority lane (async delta rounds).
   uint64_t tasks_priority = 0;
 
-  // ----- Driver-level counters (populated by StreamDriver only) -----------
+  // ----- Driver-level counters (populated by the driver only) -------------
   // Batches handed to the engine's ApplyMutations by the worker.
   uint64_t batches_applied = 0;
   // Individual mutations accepted by Ingest/IngestBatch.
@@ -99,7 +99,7 @@ struct EngineStats {
   // path).
   uint64_t lane_batches_replayed = 0;
 
-  // ----- Background-compaction counters (populated by StreamDriver when the
+  // ----- Background-compaction counters (populated by the driver when the
   // engine exposes its MutableGraph; mirrors SlackCsr::CompactionStats
   // summed over both adjacency views) ---------------------------------------
   // MaintenanceStep invocations that found compaction work to do.
@@ -117,7 +117,7 @@ struct EngineStats {
   // accumulate, then derived from observed idle time and per-edge cost.
   uint64_t maintenance_budget_edges = 0;
 
-  // ----- Sentinel counters (populated by StreamDriver when admission
+  // ----- Sentinel counters (populated by the driver when admission
   // control / quarantine / watchdog are configured) --------------------------
   // Batches refused by admission control and parked in the dead-letter WAL,
   // and the individual mutations they carried.

@@ -22,7 +22,7 @@
 namespace graphbolt {
 
 enum class FaultSite : int {
-  kWorkerKill = 0,    // StreamDriver worker thread dies between batches
+  kWorkerKill = 0,    // a driver lane worker dies between batches
   kQueueFull,         // BoundedQueue::TryPush reports an artificial full
   kWalAppend,         // WAL record serialization fails (retried with backoff)
   kCheckpointWrite,   // checkpoint serialization fails before commit

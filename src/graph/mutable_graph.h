@@ -110,7 +110,7 @@ class MutableGraph {
   }
 
   // One background-compaction increment across both views; call from a
-  // quiescent window (StreamDriver does, between batches under the engine
+  // quiescent window (the driver does, between batches under the engine
   // mutex). Returns true while either view still has a rewrite in flight.
   bool MaintenanceStep(size_t max_edges) {
     const bool out_pending = out_.MaintenanceStep(max_edges);

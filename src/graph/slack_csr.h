@@ -16,7 +16,7 @@
 // runs inside ApplyEdits, so the batch that crosses the threshold pays the
 // whole O(V + E) rewrite. Under kBackground the rewrite is built
 // incrementally into a *shadow arena* by MaintenanceStep(budget) calls
-// issued from quiescent windows (StreamDriver runs them between batches,
+// issued from quiescent windows (the driver runs them between batches,
 // under the engine mutex, so maintenance never races reads or splices).
 // Each step copies up to `budget` edges of clean segments; ApplyEdits marks
 // every vertex it touches dirty, invalidating its shadow copy. When the
@@ -142,7 +142,7 @@ class SlackCsr {
   // slack is over threshold, copies up to `max_edges` edges of clean
   // segments into it, and flips the epoch once the sweep completes. Must be
   // called from a quiescent window (no concurrent reads or ApplyEdits —
-  // StreamDriver holds the engine mutex). Returns true while a shadow
+  // the driver holds the engine mutex). Returns true while a shadow
   // rewrite remains in progress after the call. No-op in kSync mode.
   bool MaintenanceStep(size_t max_edges);
 

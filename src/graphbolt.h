@@ -13,7 +13,7 @@
 // Or, for concurrent ingestion with pipelined batching (any engine
 // satisfying the StreamingEngine concept):
 //
-//   graphbolt::StreamDriver<decltype(engine)> driver(&engine);
+//   graphbolt::ShardedDriver<decltype(engine)> driver(&engine);  // 1 lane
 //   driver.Ingest(graphbolt::EdgeMutation::Add(1, 2));   // from any thread
 //   const auto& fresh = driver.values();                 // exact BSP snapshot
 #ifndef SRC_GRAPHBOLT_H_
@@ -34,7 +34,6 @@
 #include "src/core/compact_dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/core/streaming_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/edge_map.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/fault_injector.h"

@@ -209,7 +209,7 @@ class KickStarterEngine {
   const std::vector<VertexId>& parents() const { return parent_; }
   const EngineStats& stats() const { return stats_; }
 
-  // The graph this engine computes over; StreamDriver uses it to run
+  // The graph this engine computes over; the driver uses it to run
   // background-compaction maintenance between batches.
   MutableGraph* mutable_graph() { return graph_; }
 

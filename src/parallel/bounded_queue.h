@@ -1,6 +1,6 @@
 // A bounded multi-producer/multi-consumer blocking queue.
 //
-// This is the handoff primitive between StreamDriver's producers and its
+// This is the handoff primitive between the driver's producers and a lane
 // worker thread: the fixed capacity is what turns a fast producer into
 // backpressure (Push blocks while the consumer is behind) instead of
 // unbounded memory growth. Close() makes shutdown race-free: pushes fail
@@ -108,7 +108,7 @@ class BoundedQueue {
   }
 
   // Reopens a closed queue, discarding anything still buffered — the
-  // crash-recovery restart path (StreamDriver::Recover drains survivors
+  // crash-recovery restart path (ShardedDriver::Recover drains survivors
   // with Pop() first, then Resets before starting a fresh worker).
   void Reset() {
     std::lock_guard<std::mutex> lock(mutex_);

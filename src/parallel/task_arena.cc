@@ -8,7 +8,7 @@ namespace graphbolt {
 namespace {
 
 // Persistent workers may not occupy the whole slot table: external threads
-// (main, StreamDriver worker, test producers) need room to attach.
+// (main, driver lane workers, test producers) need room to attach.
 constexpr size_t kMaxWorkers = TaskArena::kMaxSlots - 16;
 
 }  // namespace

@@ -202,7 +202,7 @@ class WorkStealingDeque {
 };
 
 // One per participating thread: persistent workers hold one for their
-// lifetime; external threads (the main thread, the StreamDriver worker,
+// lifetime; external threads (the main thread, the driver lane workers,
 // test producers) claim one for the duration of a root parallel region.
 struct alignas(64) WorkerSlot {
   WorkStealingDeque deque;

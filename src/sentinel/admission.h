@@ -18,7 +18,7 @@
 //     and normalization work at line rate.
 //
 // Screening is pure and lock-free: ScreenBatch inspects only the batch and
-// the limits, so StreamDriver runs it before taking any of its mutexes and
+// the limits, so the driver runs it before taking any of its mutexes and
 // a rejected batch never touches the pipeline. Rejects carry a RejectReason
 // that the quarantine (src/sentinel/quarantine.h) persists for operator
 // triage and ReplayQuarantine fix-up.
@@ -101,7 +101,7 @@ struct AdmissionVerdict {
 };
 
 // Screens a single mutation — the cheap per-mutation subset of the batch
-// screen (range + finiteness), used by StreamDriver::Ingest.
+// screen (range + finiteness), used by ShardedDriver::Ingest.
 inline AdmissionVerdict ScreenMutation(const EdgeMutation& m, const AdmissionLimits& limits) {
   if (m.src > limits.max_vertex_id || m.dst > limits.max_vertex_id) {
     return {RejectReason::kVertexOutOfRange, 0};
@@ -161,7 +161,7 @@ struct GovernorOptions {
 };
 
 // Tracks apply-latency EWMA and queue depth; decides the degraded flag.
-// Not internally synchronized: StreamDriver calls it under its own mutex.
+// Not internally synchronized: the driver calls it under its own mutex.
 class AdmissionGovernor {
  public:
   explicit AdmissionGovernor(GovernorOptions options = {}) : options_(options) {}

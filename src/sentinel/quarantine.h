@@ -4,7 +4,7 @@
 // intact, together with its RejectReason, so (a) every reject is accounted
 // for, (b) an operator can inspect exactly what was refused and why, and
 // (c) after fix-up the batches can re-enter the stream through
-// StreamDriver::ReplayQuarantine. One poison batch therefore costs one
+// ShardedDriver::ReplayQuarantine. One poison batch therefore costs one
 // dead-letter append — it can never crash or wedge the pipeline.
 //
 // Storage reuses WriteAheadLog (src/fault/wal.h) — same record framing,

@@ -13,11 +13,11 @@
 // pipeline: SetLanes(N) (call before the first heartbeat) sizes the slot
 // table to N independent copies of every stage, each lane's workers
 // heartbeat their own slots, and the single poller renders one verdict
-// per stalled (lane, stage) episode. The unsharded driver is lane 0 of a
-// one-lane table, so its call sites need no changes.
+// per stalled (lane, stage) episode; a one-lane driver uses a one-lane
+// table.
 //
-// StreamDriver installs a callback that marks the driver unhealthy,
-// cancels the barrier waiters, and (optionally) drives Recover()
+// ShardedDriver installs a callback that marks the driver unhealthy,
+// releases the stalled lane's worker, and (optionally) drives Recover()
 // automatically. Recovery is cooperative: the driver exposes a
 // cancellation token the stuck stage must observe for the worker join to
 // return — the injected kStageStall fault honors it, and real engine code

@@ -95,8 +95,6 @@ bool DriverConfig::ParseAsyncMode(const std::string& name, AsyncModePolicy* poli
     *policy = AsyncModePolicy::kOff;
   } else if (name == "degrade-only") {
     *policy = AsyncModePolicy::kDegradeOnly;
-  } else if (name == "auto") {
-    *policy = AsyncModePolicy::kAuto;
   } else {
     return false;
   }
@@ -109,8 +107,6 @@ const char* DriverConfig::AsyncModeName(AsyncModePolicy policy) {
       return "off";
     case AsyncModePolicy::kDegradeOnly:
       return "degrade-only";
-    case AsyncModePolicy::kAuto:
-      return "auto";
   }
   return "unknown";
 }
@@ -176,7 +172,7 @@ void DriverConfig::RegisterFlags(ArgParser& args) {
               "edge budget per background maintenance step (adapted to observed "
               "idle windows once the driver has measurements)");
   args.AddString("async-mode", AsyncModeName(defaults.async_mode),
-                 "async delta-accumulative tier: off | degrade-only | auto "
+                 "async delta-accumulative tier: off | degrade-only "
                  "(needs --overflow degrade and a decomposable engine)");
   args.AddString("checkpoint-dir", "", "enable WAL + checkpoints in this directory");
   args.AddInt("checkpoint-every", static_cast<int64_t>(defaults.checkpoint_every),
@@ -237,7 +233,7 @@ bool DriverConfig::FromCli(const ArgParser& args, std::string* error) {
   maintenance_budget_edges = static_cast<size_t>(budget);
   if (!ParseAsyncMode(args.GetString("async-mode"), &async_mode)) {
     *error = "--async-mode \"" + args.GetString("async-mode") +
-             "\" is unknown; use off | degrade-only | auto";
+             "\" is unknown; use off | degrade-only";
     return false;
   }
   checkpoint_dir = args.GetString("checkpoint-dir");
@@ -390,7 +386,7 @@ bool DriverConfig::FromEnv(std::string* error) {
     return false;
   }
   if (!EnvOverride("GRAPHBOLT_ASYNC_MODE", error, [&](const std::string& v) {
-        *error = "expected off | degrade-only | auto";
+        *error = "expected off | degrade-only";
         return ParseAsyncMode(v, &async_mode);
       })) {
     return false;

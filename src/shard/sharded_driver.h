@@ -1,34 +1,48 @@
-// ShardedDriver: a multi-lane, multi-tenant ingestion front-end over one
-// global BSP engine.
+// ShardedDriver: the pipelined, multi-lane ingestion front-end that turns a
+// batch engine into a streaming service. It is the one driver: the
+// unsharded pipeline is DriverConfig::shards = 1.
 //
-// StreamDriver (src/driver/stream_driver.h) funnels every producer through
-// one gutter, one queue, and one worker. ShardedDriver partitions the
-// vertex space into N shards — shard_of(v) = v % N — and gives each shard
-// its own ingestion *lane*:
+// The engines in this repository are synchronous: callers hand-build a
+// MutationBatch and block on ApplyMutations. The driver decouples batching,
+// applying, and querying so they overlap (the GraphSketchDriver /
+// GutteringSystem / WorkerThreadGroup split of GraphZeppelin, adapted to
+// one global BSP engine). The vertex space is partitioned into N shards —
+// shard_of(v) = v % N — and each shard owns an ingestion *lane*:
 //
 //   sessions ──route by src──► lane gutter ──flush──► lane queue ──► lane
 //   (tenant quota gate)        (batch by size          (backpressure) worker
 //                               or staleness)
 //
+// - Producers ingest individual edge mutations (or whole batches); the
+//   owning lane's gutter absorbs them and flushes a batch when it reaches
+//   `batch_size` or has been sitting for `flush_interval_seconds`.
+// - Flushed batches travel through the lane's bounded queue to the lane
+//   worker. The bound is the backpressure mechanism: when refinement falls
+//   behind ingestion, producers block (kBlock), batches are shed or
+//   evicted (kDropNewest / kShedToWal / kShedOldest), or they coalesce in
+//   the gutter (kDegrade), so memory stays bounded.
+// - Stop() (also the destructor) drains: ingestion closes, gutter
+//   remainders flush, the workers apply everything queued and join.
+//   Mutations ingested after Stop are counted dropped, never lost silently.
+//
 // Each lane owns a gutter, a bounded queue, a worker thread, a per-shard
 // write-ahead log (`<checkpoint_dir>/shard-<i>.wal`), and a *staging
 // partition* — a MutableGraph holding exactly the edges whose source this
 // shard owns, with its own slack-CSR arenas. A lane worker first *stages* a
-// popped batch (journals it to the shard WAL and applies it to the
-// partition, concurrently across lanes), then immediately *promotes* it
-// into the global engine under the engine mutex. Promotion is serialized —
-// the engines are synchronous BSP refiners and cannot apply concurrently —
-// so the engine-lock acquisition order IS the global apply order; an
-// observer hook records it, which is how the equivalence tests replay the
-// admitted stream through an unsharded driver and compare snapshots
-// bitwise.
+// popped batch (applies it to the partition, concurrently across lanes),
+// then immediately *promotes* it into the global engine under the engine
+// mutex. Promotion is serialized — the engines are synchronous BSP
+// refiners and cannot apply concurrently — so the engine-lock acquisition
+// order IS the global apply order; an observer hook records it, which is
+// how the equivalence tests replay the admitted stream through a bare
+// engine and compare snapshots bitwise.
 //
-// Producers do not call the driver directly: they open a Session
-// (OpenSession(tenant_id)) whose tenant quota — token bucket + lifetime
-// cap, shared across all sessions of the tenant (src/shard/session.h) —
-// gates admission whole-batch-or-nothing *after* the sentinel's content
-// screen and *before* any lane lock. The legacy Ingest/IngestBatch surface
-// delegates to an implicit default session (tenant "", default_quota).
+// Producers open a Session (OpenSession(tenant_id)) whose tenant quota —
+// token bucket + lifetime cap, shared across all sessions of the tenant
+// (src/shard/session.h) — gates admission whole-batch-or-nothing *after*
+// the sentinel's content screen and *before* any lane lock. The plain
+// Ingest/IngestBatch surface delegates to an implicit default session
+// (tenant "", default_quota).
 //
 // PrepQuery is a two-phase barrier:
 //   Phase 1 flushes every lane's gutter remainder into its queue;
@@ -37,17 +51,39 @@
 // one (src, dst) pair traverse the same lane in ingest order, so the
 // admitted stream the engine sees is a legal interleaving of the producers'
 // streams — and after the barrier the engine holds exactly one BSP
-// snapshot of it, the same guarantee StreamDriver's barrier gives.
+// snapshot of it (what a from-scratch run on the current graph would
+// produce). When nothing is buffered, in flight, or shed the barrier is a
+// cached-query fast path. Mutations racing on different producers have no
+// defined global order; shed batches additionally lose their place in the
+// stream and re-enter at the next barrier or recovery.
 //
-// Durability: the *global* checkpointer (WAL + cadence snapshots under the
-// engine mutex, exactly StreamDriver's protocol) remains the recovery
-// source of truth — a cold StreamDriver over the same checkpoint directory
-// recovers the state. The per-shard WALs are lineage: a per-lane record of
-// what each shard staged this run, reset at construction, for
-// observability and shard-local debugging.
+// The engine is never accessed concurrently: promotions serialize on the
+// engine mutex and the query paths synchronize with it. QuerySnapshot() is
+// safe at any time from any thread; values() returns a reference into the
+// engine and is meant for quiescent callers (after PrepQuery returns and
+// while no concurrent producer can trigger a flush).
 //
-// Sentinel under shards: the full overload/stall layer of the unsharded
-// driver (src/sentinel/) runs across lanes.
+// Durability (src/fault/): with a Checkpointer attached, every promoted
+// batch is journaled to the global write-ahead log immediately before it
+// is applied (under the engine mutex, so WAL order == apply order by
+// construction) and engine state is snapshotted at the checkpointer's
+// cadence. The global checkpointer is the recovery source of truth. The
+// per-shard WALs are lineage keyed by the same global sequence numbers,
+// which Recover() scans in parallel. A WAL append that fails past its retry
+// budget forces an immediate checkpoint, which supersedes the lost record.
+// A worker killed between batches (the FaultSite::kWorkerKill stand-in for
+// a crash) closes its lane queue, so producers shed to the durable side
+// log (or drop) instead of blocking behind a dead consumer; healthy() goes
+// false and PrepQuery returns a stale snapshot at once until Recover()
+// restores the newest valid checkpoint, replays the WAL tail, promotes the
+// queued remainders, replays the shed log, and restarts the lanes.
+//
+// Sentinel (src/sentinel/): setting quarantine_dir arms admission control
+// — every ingested mutation and batch is screened (vertex range, NaN/Inf
+// weights, size ceiling, flood heuristics) before any driver lock, and
+// rejects are parked bitwise-intact in a dead-letter WAL; ReplayQuarantine()
+// re-admits them after operator fix-up. Overload control runs across
+// lanes:
 //   - Shedding (kShedToWal / kShedOldest): every lane sheds into the ONE
 //     globally sequence-tagged shed log (Checkpointer::AppendShed), and
 //     PrepQuery's phase 2 gains a global replay barrier — after all lanes
@@ -113,6 +149,7 @@ template <StreamingEngine Engine>
 class ShardedDriver {
  public:
   using Value = EngineValueT<Engine>;
+  using Options = DriverConfig;
   // Called under the journal serialization immediately before each
   // promotion, in global apply order: (owning lane, the batch as applied).
   // Shed replays report the pseudo-lane lanes_.size(); fast-path safe
@@ -176,12 +213,14 @@ class ShardedDriver {
   };
 
   // The engine must outlive the driver and already hold the initial
-  // snapshot (run InitialCompute first). `config` must pass Validate().
-  // The checkpointer, when given, is the global durability authority —
-  // attach it exactly as with StreamDriver. The fault injector (test-only,
-  // a no-op unless compiled with GRAPHBOLT_FAULT_INJECTION=1) arms the
-  // lane queues and the sentinel sites; not owned.
-  explicit ShardedDriver(Engine* engine, DriverConfig config,
+  // snapshot: run engine->InitialCompute() before ingesting (and
+  // CheckpointNow() after it, so a crash before the first cadence
+  // checkpoint still has a baseline to recover from). `config` must pass
+  // Validate(). The checkpointer, when given, is the global durability
+  // authority; Recover() needs one. The fault injector (test-only, a no-op
+  // unless compiled with GRAPHBOLT_FAULT_INJECTION=1) arms the lane queues
+  // and the fault sites. Neither is owned; both must outlive the driver.
+  explicit ShardedDriver(Engine* engine, DriverConfig config = {},
                          Checkpointer<Engine>* checkpointer = nullptr,
                          FaultInjector* fault_injector = nullptr)
       : engine_(engine),
@@ -269,8 +308,20 @@ class ShardedDriver {
     return Session(this, state);
   }
 
-  // Legacy surface: the pre-session Ingest/IngestBatch API, delegating to
-  // the implicit default session (tenant "", config.default_quota).
+  // The session-less surface, delegating to the implicit default session
+  // (tenant "", config.default_quota). Thread-safe; Ingest blocks only when
+  // a flush hits a full queue under kBlock. Ingest returns false (counting
+  // the mutation dropped) after Stop(), or when the quota gate or the
+  // admission screen refused it. IngestBatch returns how many mutations
+  // were accepted (flush boundaries still follow batch_size).
+  //
+  // IngestFast is the single-update fast path (config.fast_path;
+  // src/driver/fast_path.h, INTERNALS §13): a mutation the engine
+  // classifies safe against its dependency state is journaled at the next
+  // sequence number and spliced in place — no gutter, no flush, no barrier,
+  // no engine mutex — while an unsafe one escalates into its lane as a
+  // refinement micro-batch. With fast_path off, or an engine that cannot
+  // classify, it is exactly Ingest.
   bool Ingest(const EdgeMutation& mutation) {
     return IngestFor(GetTenantState(std::string()), mutation);
   }
@@ -300,7 +351,9 @@ class ShardedDriver {
   // the fast path (nothing buffered, in flight, or shed anywhere — the
   // previous snapshot is still current). Under kDegrade with the governor
   // reporting overload, serves the last globally consistent snapshot
-  // immediately instead of waiting on the barrier.
+  // immediately instead of waiting on the barrier. On a crashed driver
+  // (a dead lane worker) the barrier returns at once with a stale
+  // snapshot; check healthy() and call Recover().
   bool PrepQuery() {
     bool idle = true;
     for (auto& lane : lanes_) {
@@ -341,13 +394,22 @@ class ShardedDriver {
       return true;
     }
     for (;;) {
+      if (AnyLaneDead()) {
+        GB_LOG(kWarning) << "PrepQuery on a crashed driver: snapshot is stale; Recover() first";
+        return true;
+      }
       for (auto& lane : lanes_) {
         std::unique_lock<std::mutex> lock(lane->mu);
         FlushLaneLocked(*lane, lock, /*allow_refill=*/false);
       }
+      bool died = false;
       for (auto& lane : lanes_) {
         std::unique_lock<std::mutex> lock(lane->mu);
-        lane->drained_cv.wait(lock, [&] { return lane->in_flight == 0; });
+        lane->drained_cv.wait(lock, [&] { return lane->in_flight == 0 || lane->dead; });
+        died = died || lane->dead;
+      }
+      if (died) {
+        continue;  // a worker died during the barrier: report it above
       }
       if constexpr (AsyncDeltaEngine<Engine>) {
         if (async_engaged_.load(std::memory_order_acquire)) {
@@ -371,8 +433,9 @@ class ShardedDriver {
     }
   }
 
-  // Barrier + reference to the engine's values (see StreamDriver::values
-  // for the aliasing caveats — meant for quiescent callers).
+  // Barrier + reference to the engine's values. The reference is an exact
+  // BSP snapshot at return; it stays valid but may be rewritten once
+  // another producer triggers a flush — meant for quiescent callers.
   const std::vector<Value>& values() {
     PrepQuery();
     return engine_->values();
@@ -418,12 +481,16 @@ class ShardedDriver {
     return snapshot;
   }
 
-  // False after the watchdog has declared a lane stalled, until the lane's
-  // local recovery (shed the in-hand batch, resume) or a global Recover()
-  // completes.
+  // False while a lane worker is dead (killed by fault injection, the
+  // stand-in for a crash) until Recover(), and after the watchdog has
+  // declared a lane stalled until the lane's local recovery (shed the
+  // in-hand batch, resume) or a global Recover() completes.
   bool healthy() const {
+    if (AnyLaneDead()) {
+      return false;
+    }
     std::lock_guard<std::mutex> lock(stats_mu_);
-    return healthy_;
+    return healthy_ && !escalating_;
   }
 
   // True while the governor has the driver in degraded mode (overload):
@@ -467,9 +534,13 @@ class ShardedDriver {
     return quarantine_ != nullptr ? quarantine_->parked_batches() : 0;
   }
 
-  // Drains the quarantine through fixup(reason, batch&) — see
-  // StreamDriver::ReplayQuarantine. Re-admission goes through the default
-  // session (an operator action, but still quota-accounted).
+  // Drains the quarantine through `fixup(RejectReason, MutationBatch&)`.
+  // fixup repairs the batch in place and returns true to re-admit it — the
+  // batch is re-screened, so a still-poison batch goes straight back to
+  // quarantine — or false to discard it. Call on a live (accepting)
+  // driver. Returns the number of parked batches fed to fixup.
+  // Re-admission goes through the default session (an operator action,
+  // but still quota-accounted).
   template <typename Fixup>
   size_t ReplayQuarantine(Fixup&& fixup) {
     if (quarantine_ == nullptr) {
@@ -493,7 +564,8 @@ class ShardedDriver {
     return ReplayQuarantine([](RejectReason, MutationBatch&) { return true; });
   }
 
-  // Writes a global checkpoint of the current engine state immediately.
+  // Writes a global checkpoint of the current engine state immediately —
+  // the baseline right after InitialCompute, or an explicit save point.
   bool CheckpointNow() {
     if constexpr (CheckpointableEngine<Engine>) {
       if (checkpointer_ == nullptr) {
@@ -508,17 +580,19 @@ class ShardedDriver {
     }
   }
 
-  // Global crash recovery — the escalation path behind the lane-local
-  // story. Stops every lane, joins the workers (a worker parked in an
-  // injected stall observes stall_abort_, sheds its in-hand batch, and
+  // Crash recovery. Stops every lane, joins the workers (a worker parked in
+  // an injected stall observes stall_abort_, sheds its in-hand batch, and
   // exits), restores the newest valid checkpoint, replays the WAL tail,
   // promotes the batches still queued in any lane (process memory, not
   // crash casualties — applied in lane order, which is a legal
   // interleaving), drains the shed log in shed-sequence order, and
-  // restarts the lanes. Exactly StreamDriver::Recover's protocol against
-  // the same on-disk state, so either driver shape restores the other's
-  // checkpoints. Returns false (lanes restarted, engine state left as-is)
-  // when no valid checkpoint exists.
+  // restarts the lanes. Queued-then-shed is the stream order: shedding
+  // only starts once a queue is full or closed. Works both on a live
+  // driver whose worker died and as cold-start recovery on a freshly
+  // constructed graph/engine/driver (no InitialCompute needed), for any
+  // shard count over the same on-disk state. Always restores from disk —
+  // in-memory engine state is discarded. Returns false (lanes restarted,
+  // engine state left as-is) when no valid checkpoint exists.
   bool Recover() {
     if constexpr (!CheckpointableEngine<Engine>) {
       GB_LOG(kError) << "Recover() requires a CheckpointableEngine";
@@ -663,6 +737,7 @@ class ShardedDriver {
         lane->stall_abort.store(false);
         std::lock_guard<std::mutex> lock(lane->mu);
         lane->accepting = true;
+        lane->dead = false;
       }
       for (auto& lane : lanes_) {
         Lane* raw = lane.get();
@@ -677,7 +752,7 @@ class ShardedDriver {
                         [this](const StallCause& cause) { OnStall(cause); });
       }
       if (restored) {
-        GB_LOG(kInfo) << "sharded recovery to batch " << recovered_seq << " ("
+        GB_LOG(kInfo) << "recovered to batch " << recovered_seq << " ("
                       << replayed_lanes << " lane-lineage, " << replayed_wal
                       << " global-WAL, " << preserved.size() << " queued, "
                       << replayed_shed << " shed batches replayed) in "
@@ -688,7 +763,9 @@ class ShardedDriver {
   }
 
   // Sequence number of the newest batch promoted through the global
-  // journal — the durable frontier (see StreamDriver::applied_seq).
+  // journal — the durable frontier. After Recover() it is exactly the
+  // number of batches the recovered state contains, which is what the
+  // crash harness diffs against a fresh prefix run.
   uint64_t applied_seq() {
     std::lock_guard<std::mutex> lock(journal_mu_);
     return applied_seq_;
@@ -729,9 +806,10 @@ class ShardedDriver {
 
   // Drains and shuts down: lanes stop accepting, gutter remainders flush,
   // every queued batch is promoted, workers join, and anything left shed
-  // replays. Idempotent; called by the destructor. After a stall the
-  // un-applied queue leftovers are parked in the durable shed log
-  // (recoverable by a later cold-start Recover) or counted dropped.
+  // replays. Idempotent; called by the destructor. After a worker crash
+  // the un-applied queue leftovers are parked in the durable shed log
+  // (recoverable by a later cold-start Recover) or counted dropped, and
+  // the shed log is left for that recovery.
   void Stop() {
     // The watchdog's callback may be inside Recover() — which takes
     // stop_mu_ — so stop it *before* acquiring stop_mu_ or Stop deadlocks
@@ -784,6 +862,7 @@ class ShardedDriver {
       std::lock_guard<std::mutex> lock(stats_mu_);
       have_shed = shed_batches_ > 0;
     }
+    have_shed = have_shed && !AnyLaneDead();
     if (have_shed) {
       ReplayShed();  // engines are idle: every worker has joined
     }
@@ -797,7 +876,7 @@ class ShardedDriver {
   };
 
   // One ingestion lane: everything shard i owns. The mutex guards the
-  // gutter, in_flight, and accepting; the queue synchronizes itself; the
+  // gutter, in_flight, accepting, and dead; the queue synchronizes itself; the
   // WAL, wal_seq, and partition are touched only by the lane worker (and
   // by quiescent readers after the barrier handshake).
   struct Lane {
@@ -811,6 +890,8 @@ class ShardedDriver {
     // or being applied). The barrier's phase 2 waits for zero.
     size_t in_flight = 0;
     bool accepting = true;
+    // Set when the worker was killed between batches; cleared by Recover().
+    bool dead = false;
     BoundedQueue<TimedBatch> queue;
     std::thread worker;
     // Lane-local cooperative cancellation: set by the watchdog verdict so
@@ -823,6 +904,16 @@ class ShardedDriver {
   };
 
   size_t ShardOf(VertexId v) const { return static_cast<size_t>(v) % lanes_.size(); }
+
+  bool AnyLaneDead() const {
+    for (const auto& lane : lanes_) {
+      std::lock_guard<std::mutex> lock(lane->mu);
+      if (lane->dead) {
+        return true;
+      }
+    }
+    return false;
+  }
 
   TenantState* GetTenantState(const std::string& tenant) {
     std::lock_guard<std::mutex> lock(tenants_mu_);
@@ -876,16 +967,19 @@ class ShardedDriver {
     return true;
   }
 
-  // Session::IngestFast's implementation (see StreamDriver::IngestFast for
-  // the protocol narrative). Screen and quota-admit exactly like IngestFor,
-  // then classify under a journal try-lock: safe mutations journal at the
-  // next global sequence number and splice in place — bypassing the lane
+  // IngestFast's implementation. Screen and quota-admit exactly like
+  // IngestFor, then classify under a journal try-lock: safe mutations
+  // journal at the next global sequence number and splice in place — no
+  // engine_mu_: the apply serializes through journal_mu_ (against batched
+  // promotions, maintenance, and checkpoints) plus per-vertex claims, and
+  // flips the fast-path epoch around the splice. They bypass the lane
   // gutters and their staging partitions, which remain lineage of the
-  // *batched* stream only — while unsafe (or journal-contended) ones
-  // escalate into the owning lane as a refinement micro-batch. Safe applies
-  // notify the observer under the journal serialization with pseudo-lane
-  // lanes_.size() + 1, so an observer-recorded stream stays a complete,
-  // in-order record of the admitted stream.
+  // *batched* stream only. Unsafe ones escalate into the owning lane as a
+  // refinement micro-batch; so do journal-contended ones, since the fast
+  // path never waits on batch-scale work. Safe applies notify the observer
+  // under the journal serialization with pseudo-lane lanes_.size() + 1, so
+  // an observer-recorded stream stays a complete, in-order record of the
+  // admitted stream.
   bool IngestFastFor(TenantState* state, const EdgeMutation& mutation) {
     if constexpr (!FastPathEngine<Engine>) {
       return IngestFor(state, mutation);
@@ -1117,9 +1211,12 @@ class ShardedDriver {
       std::optional<TimedBatch> item =
           lane.queue.PopFor(std::chrono::duration<double>(NextPollSeconds(lane)));
       if (item.has_value()) {
-        if (ApplyLane(lane, std::move(*item))) {
-          return;  // stall-aborted globally: recovery owns the pipeline now
+        if (ApplyLane(lane, std::move(*item)) || LaneKilled(lane)) {
+          return;  // stall-aborted globally or killed: recovery owns the lane
         }
+        // One maintenance increment per batch keeps compaction overlapped
+        // with a saturated stream (the quiescent window between applies).
+        GlobalMaintenanceTick();
       } else if (lane.queue.closed()) {
         if (lane.queue.Empty()) {
           break;
@@ -1138,15 +1235,19 @@ class ShardedDriver {
       // The stale check runs after *every* iteration — successful pops
       // included, so a busy lane queue cannot starve a stale gutter —
       // against the monotonic deadline NextPollSeconds carries across
-      // polls (same contract as StreamDriver::WorkerLoop).
+      // polls.
       if (TryFlushStaleLane(lane)) {
-        return;  // stall-aborted globally during the direct apply
+        return;  // stall-aborted globally or killed during the direct apply
       }
     }
   }
 
-  // The lane worker's next wait, shortened to expire exactly when the
-  // gutter's oldest mutation goes stale (see StreamDriver::NextPollSeconds).
+  // The lane worker's next wait: the flush interval, shortened so the wait
+  // expires exactly when the gutter's oldest mutation goes stale — a
+  // monotonic deadline carried across polls, so a pop or short timeout
+  // does not re-arm the full interval. A gutter already past its deadline
+  // but blocked by an in-flight batch (a direct apply would reorder) gets
+  // a short back-off instead of a spin.
   double NextPollSeconds(const Lane& lane) const {
     std::lock_guard<std::mutex> lock(lane.mu);
     if (lane.gutter.empty()) {
@@ -1162,7 +1263,7 @@ class ShardedDriver {
   // Flushes a stale lane gutter and applies it directly — never through
   // the queue (the worker must not block behind itself), and only when
   // in_flight == 0 so ordering is preserved. Returns true when the worker
-  // must exit (globally stall-aborted mid-apply).
+  // must exit (globally stall-aborted mid-apply, or killed after it).
   bool TryFlushStaleLane(Lane& lane) {
     TimedBatch stale;
     uint64_t coalesced = 0;
@@ -1181,7 +1282,24 @@ class ShardedDriver {
       std::lock_guard<std::mutex> slock(stats_mu_);
       stats_.mutations_coalesced += coalesced;
     }
-    return ApplyLane(lane, std::move(stale));
+    return ApplyLane(lane, std::move(stale)) || LaneKilled(lane);
+  }
+
+  // The kWorkerKill site fires between batches (after an apply completes),
+  // so the engine is always left at a batch boundary — a crash never tears
+  // a refinement. The lane queue closes so producers stop blocking behind
+  // the dead consumer (their pushes fail over to the shed/drop path);
+  // queued batches stay poppable for Recover().
+  bool LaneKilled(Lane& lane) {
+    if (!GB_FAULT_POINT(injector_, FaultSite::kWorkerKill)) {
+      return false;
+    }
+    lane.queue.Close();
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.dead = true;
+    GB_LOG(kWarning) << "FaultInjector: lane " << lane.index << " worker killed";
+    lane.drained_cv.notify_all();
+    return true;
   }
 
   // Stage, then promote. Staging (shard WAL append + partition apply) runs
@@ -1312,8 +1430,7 @@ class ShardedDriver {
 
   // Every engine apply funnels through here: notify the observer, assign
   // the next global sequence number, journal write-ahead, apply, checkpoint
-  // on cadence — StreamDriver's exact protocol, so recovery is
-  // interchangeable. Caller holds engine_mu_; journal_mu_ is taken here so
+  // on cadence. Caller holds engine_mu_; journal_mu_ is taken here so
   // fast-path splices interleave only at batch boundaries, and the observer
   // runs under it so observer order is exactly WAL/apply order even with
   // fast-path applies in the mix.
@@ -1435,7 +1552,8 @@ class ShardedDriver {
 
   // Lane-0-only (single ticking thread, so the cadence timer needs no
   // lock): run a scrub pass once the configured interval of wall time has
-  // passed since the last one (see StreamDriver::MaybeScrub).
+  // passed since the last one. Rides the idle poll — a saturated pipeline
+  // defers scrubbing, which is the right priority order.
   void MaybeScrub() {
     if (checkpointer_ == nullptr || config_.scrub_interval_seconds <= 0.0 ||
         scrub_timer_.Seconds() < config_.scrub_interval_seconds) {
@@ -1445,8 +1563,11 @@ class ShardedDriver {
     ScrubNow();
   }
 
-  // One background-compaction increment on the global graph, in a lane's
-  // idle window (see StreamDriver::MaintenanceTick).
+  // One background-compaction increment on the global graph, after every
+  // promoted batch and in lane 0's idle polls. Holding the engine mutex
+  // makes this the epoch barrier: no apply or query can observe a
+  // half-built shadow, and a completed rewrite flips in under the same
+  // lock every reader takes.
   void GlobalMaintenanceTick() {
     if constexpr (GraphMaintainableEngine<Engine>) {
       if (!config_.background_compaction) {
@@ -1454,10 +1575,10 @@ class ShardedDriver {
       }
       // Adaptive budget: sized from lane 0's observed idle windows and the
       // per-edge rewrite cost, falling back to the configured constant
-      // until both signals have data (see maintenance_budget.h). Only
-      // lane 0 ticks, so last_maintenance_edges_ is single-threaded.
+      // until both signals have data (see maintenance_budget.h).
       const size_t budget = budget_.Next();
       SlackCsr::CompactionStats compaction;
+      uint64_t copied = 0;
       Timer step;
       {
         std::lock_guard<std::mutex> engine_lock(engine_mu_);
@@ -1465,10 +1586,14 @@ class ShardedDriver {
         MutableGraph* graph = engine_->mutable_graph();
         graph->MaintenanceStep(budget);
         compaction = graph->compaction_stats();
+        // Any lane may tick, so the cumulative-counter delta is taken
+        // under the engine mutex.
+        copied = compaction.background_edges_copied - last_maintenance_edges_;
+        last_maintenance_edges_ = compaction.background_edges_copied;
       }
-      budget_.RecordStep(compaction.background_edges_copied - last_maintenance_edges_,
-                         step.Seconds());
-      last_maintenance_edges_ = compaction.background_edges_copied;
+      // Lock wait counts as cost, which rightly shrinks the budget when
+      // the engine is contended.
+      budget_.RecordStep(copied, step.Seconds());
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.maintenance_steps = compaction.maintenance_steps;
       stats_.background_compactions = compaction.background_compactions;
@@ -1480,19 +1605,20 @@ class ShardedDriver {
 
   // ----- Async delta-accumulative mode (INTERNALS §14) ---------------------
   //
-  // The sharded variant of StreamDriver's async tier (see stream_driver.h
-  // for the full protocol). Same invariants, sharded lock map: mode flips
-  // hold BOTH engine_mu_ and journal_mu_ (fast-path splices run under
-  // journal_mu_ alone); the governor lives under governor_mu_; stats under
-  // stats_mu_. While engaged: IngestFastFor escalates, cadence checkpoints
-  // are suppressed, per-lane WAL staging and the global WAL both keep
-  // journaling every batch, and the observer stream stays a complete
-  // record — AsyncApplyJournaled invokes it under journal_mu_ exactly like
-  // the BSP path, so an observer-driven re-run reproduces the apply order.
+  // Mode flips hold BOTH engine_mu_ and journal_mu_: the fast path splices
+  // under journal_mu_ alone, and a splice racing EnterAsyncMode's aggregate
+  // rebuild (or the reconcile's recompute) would tear it. async_engaged_
+  // mirrors engine_->async_mode() so either lock — or neither, for
+  // advisory reads — observes the flip race-free. The governor lives under
+  // governor_mu_, stats under stats_mu_. While engaged: IngestFastFor
+  // escalates (ClassifyFast reasons about the stale BSP dependency store),
+  // cadence checkpoints are suppressed (same staleness), the lane lineages
+  // and the global WAL keep journaling every batch — recovery replays them
+  // through BSP ApplyMutations, landing on a legitimate BSP state of the
+  // final graph — and the observer stream stays a complete record.
 
   // True when policy, overflow policy, and the governor agree the engine
-  // should be running async. kAuto and kDegradeOnly share the degrade
-  // trigger today (see AsyncModePolicy).
+  // should be running async.
   bool AsyncWanted() const {
     if (config_.async_mode == AsyncModePolicy::kOff ||
         config_.overflow != OverflowPolicy::kDegrade) {
@@ -1673,23 +1799,28 @@ class ShardedDriver {
   // token — the worker sheds its in-hand batch durably and resumes, and
   // sibling lanes never stop (the park is outside the engine mutex). With
   // auto-recovery configured, escalates to the full global Recover() on
-  // top: restore, replay WAL + queued + shed, restart every lane.
+  // top: restore, replay WAL + queued + shed, restart every lane. The
+  // driver then reports unhealthy until that escalation has finished.
   void OnStall(const StallCause& cause) {
     GB_LOG(kWarning) << "watchdog: lane " << cause.lane << " stage "
                      << PipelineStageName(cause.stage) << " stalled for "
                      << cause.stalled_seconds << " s";
+    const bool escalate = config_.watchdog_auto_recover && checkpointer_ != nullptr;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.stalls_detected;
       healthy_ = false;
+      escalating_ = escalate;
     }
     if (cause.lane < lanes_.size()) {
       lanes_[cause.lane]->stall_abort.store(true);  // lane-local release
     }
-    if (config_.watchdog_auto_recover && checkpointer_ != nullptr) {
-      if (Recover()) {
+    if (escalate) {
+      const bool recovered = Recover();
+      {
         std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.watchdog_recoveries;
+        stats_.watchdog_recoveries += recovered ? 1 : 0;
+        escalating_ = false;
       }
       watchdog_.ClearStall();
     }
@@ -1770,6 +1901,9 @@ class ShardedDriver {
   // False from a watchdog verdict until the stalled lane's local recovery
   // (shed the in-hand batch, resume) or a global Recover() completes.
   bool healthy_ = true;
+  // True while a watchdog verdict's auto-Recover() escalation is pending
+  // or running; healthy() stays false until it has finished.
+  bool escalating_ = false;
 
   mutable std::mutex governor_mu_;
 
@@ -1792,8 +1926,8 @@ class ShardedDriver {
   // global graph's per-edge rewrite cost (declared after config_: seeded
   // from the already-moved-into config).
   MaintenanceBudget budget_{config_.maintenance_budget_edges};
-  // Cumulative background_edges_copied at the last global tick; only
-  // lane 0 ticks, so this needs no lock.
+  // Cumulative background_edges_copied at the last global tick (guarded by
+  // engine_mu_; see GlobalMaintenanceTick).
   uint64_t last_maintenance_edges_ = 0;
 
   std::mutex tenants_mu_;

@@ -12,11 +12,12 @@
 //      bitwise-identical (==) to a fresh InitialCompute (one pool thread,
 //      so parallel reduction order is deterministic).
 //   3. Driver layer — under kDegrade pressure with --async-mode
-//      degrade-only, StreamDriver flips the engine async, serves degraded
-//      queries from continuously-updating values (async_fresh_queries and
-//      async_applies progress across successive samples), then self-clears
-//      through one reconciling barrier once pressure recedes. A sharded
-//      smoke run proves the same protocol on ShardedDriver lanes.
+//      degrade-only, a single-lane driver flips the engine async, serves
+//      degraded queries from continuously-updating values
+//      (async_fresh_queries and async_applies progress across successive
+//      samples), then self-clears through one reconciling barrier once
+//      pressure recedes. A two-lane smoke run proves the same protocol
+//      across lanes.
 //
 // Conventions follow sentinel_test.cc: one pool thread, pre-generated
 // streams, generous poll loops around timing-dependent flags. The driver
@@ -36,7 +37,6 @@
 #include "src/algorithms/sssp.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/core/streaming_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/reset_engine.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
@@ -304,18 +304,18 @@ TEST(AsyncDriver, DegradeFlipServesFreshThenSelfClears) {
   MutableGraph graph(split.initial);
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  using Driver = StreamDriver<GraphBoltEngine<PageRank>>;
-  Driver driver(&engine, {.batch_size = 1u << 20,
-                          // Short flush interval: idle polls run AsyncTick
-                          // often, which is what self-clears the mode.
-                          .flush_interval_seconds = 0.005,
-                          .max_pending_batches = 1,
-                          .overflow = Driver::OverflowPolicy::kDegrade,
-                          .coalesce = false,
-                          .governor = {.degrade_pressure_seconds = 0.0,
-                                       .recover_pressure_seconds = 0.0},
-                          .async_mode = AsyncModePolicy::kDegradeOnly,
-                          .async_step_budget = 256});
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
+      &engine, {.batch_size = 1u << 20,
+                // Short flush interval: idle polls run AsyncTick often,
+                // which is what self-clears the mode.
+                .flush_interval_seconds = 0.005,
+                .max_pending_batches = 1,
+                .overflow = OverflowPolicy::kDegrade,
+                .coalesce = false,
+                .async_mode = AsyncModePolicy::kDegradeOnly,
+                .async_step_budget = 256,
+                .governor = {.degrade_pressure_seconds = 0.0,
+                             .recover_pressure_seconds = 0.0}});
 
   // Warm the latency EWMA with one normally-applied batch.
   ASSERT_EQ(driver.IngestBatch(chunks[0]), chunks[0].size());
@@ -396,15 +396,15 @@ TEST(AsyncDriver, PolicyOffNeverEngages) {
   MutableGraph graph(split.initial);
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  using Driver = StreamDriver<GraphBoltEngine<PageRank>>;
-  Driver driver(&engine, {.batch_size = 1u << 20,
-                          .flush_interval_seconds = 0.005,
-                          .max_pending_batches = 1,
-                          .overflow = Driver::OverflowPolicy::kDegrade,
-                          .coalesce = false,
-                          .governor = {.degrade_pressure_seconds = 0.0,
-                                       .recover_pressure_seconds = 0.0},
-                          .async_mode = AsyncModePolicy::kOff});
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
+      &engine, {.batch_size = 1u << 20,
+                .flush_interval_seconds = 0.005,
+                .max_pending_batches = 1,
+                .overflow = OverflowPolicy::kDegrade,
+                .coalesce = false,
+                .async_mode = AsyncModePolicy::kOff,
+                .governor = {.degrade_pressure_seconds = 0.0,
+                             .recover_pressure_seconds = 0.0}});
   for (const MutationBatch& chunk : chunks) {
     ASSERT_EQ(driver.IngestBatch(chunk), chunk.size());
     driver.Flush();
@@ -454,7 +454,7 @@ TEST(AsyncSharded, FloodEngagesAndSelfClears) {
   ASSERT_EQ(driver.IngestBatch(chunks[0]), chunks[0].size());
   driver.Flush();
   driver.PrepQuery();
-  // Same pacing rationale as the unsharded flood: a chunk every ~300us
+  // Same pacing rationale as the single-lane flood: a chunk every ~300us
   // against millisecond lane applies keeps lane queues non-empty, so the
   // governor stays degraded and the async window stays open. stats() needs
   // no barrier, so sampling never drains the backlog.

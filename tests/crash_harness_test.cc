@@ -14,13 +14,14 @@
 // what must hold is that the state IS that frontier, bitwise, with no
 // torn artifact ever silently replayed.
 //
-// Both driver shapes run the same matrix: the unsharded StreamDriver and
-// the 4-lane ShardedDriver, whose recovery replays the per-lane WAL
-// lineages in parallel (native sharded recovery) before the global
-// journal sweep. Batches are lane-aligned (batch i's sources all live on
-// shard i % 4) and the sharded child barriers per batch, so the global
-// promotion order equals the ingest order and "first n batches" is
-// well-defined on both shapes.
+// Two driver shapes run the same matrix: a single lane journaling only to
+// the global WAL (no checkpoint_dir, so no lane lineages), and four lanes
+// whose recovery replays the per-lane WAL lineages in parallel (native
+// sharded recovery) before the global journal sweep. Batches are
+// lane-aligned (batch i's sources all live on shard i % 4) and the
+// sharded child barriers per batch, so the global promotion order
+// equals the ingest order and "first n batches" is well-defined on both
+// shapes.
 //
 // The fork is bare (no exec): the child rebuilds all state from scratch
 // post-fork and the parent holds no extra live threads at fork time
@@ -41,7 +42,6 @@
 
 #include "src/algorithms/pagerank.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/storage_env.h"
 #include "src/graph/generators.h"
@@ -118,14 +118,16 @@ typename Checkpointer<CrashEngine>::Options CkptOptions(const std::string& dir,
   Checkpointer<CrashEngine> ckpt(&engine, &graph, CkptOptions(dir, &faulty));
   const std::vector<MutationBatch> batches = MakeAlignedBatches(/*seed=*/99);
   if (shards == 0) {
-    StreamDriver<CrashEngine> driver(&engine, {.batch_size = kBatchSize,
-                                               .flush_interval_seconds = 3600.0,
-                                               .overflow = OverflowPolicy::kBlock,
-                                               .coalesce = false,
-                                               .checkpointer = &ckpt,
-                                               .background_compaction = false,
-                                               .fast_path = false,
-                                               .async_mode = AsyncModePolicy::kOff});
+    ShardedDriver<CrashEngine> driver(&engine,
+                                      {.shards = 1,
+                                       .batch_size = kBatchSize,
+                                       .flush_interval_seconds = 3600.0,
+                                       .overflow = OverflowPolicy::kBlock,
+                                       .coalesce = false,
+                                       .background_compaction = false,
+                                       .fast_path = false,
+                                       .async_mode = AsyncModePolicy::kOff},
+                                      &ckpt);
     driver.CheckpointNow();  // baseline: write 1 / rename 1
     for (const MutationBatch& batch : batches) {
       driver.IngestBatch(batch);  // exactly one gutter flush per call
@@ -198,7 +200,7 @@ void SpawnChildExpectKilled(const std::string& dir, const KillSpec& kill,
 
 // Cold-start recovery in the parent against the child's corpse directory,
 // plus the bitwise prefix assertion. Returns the recovered frontier and
-// the lane-lineage replay count (0 on the unsharded shape).
+// the lane-lineage replay count (0 on the single-lane global-WAL shape).
 struct RecoveryOutcome {
   uint64_t applied = 0;
   uint64_t lane_replayed = 0;
@@ -211,14 +213,16 @@ RecoveryOutcome RecoverAndCheck(const std::string& dir, size_t shards,
   Checkpointer<CrashEngine> ckpt(&engine, &graph, CkptOptions(dir, nullptr));
   RecoveryOutcome outcome;
   if (shards == 0) {
-    StreamDriver<CrashEngine> driver(&engine, {.batch_size = kBatchSize,
-                                               .flush_interval_seconds = 3600.0,
-                                               .overflow = OverflowPolicy::kBlock,
-                                               .coalesce = false,
-                                               .checkpointer = &ckpt,
-                                               .background_compaction = false,
-                                               .fast_path = false,
-                                               .async_mode = AsyncModePolicy::kOff});
+    ShardedDriver<CrashEngine> driver(&engine,
+                                      {.shards = 1,
+                                       .batch_size = kBatchSize,
+                                       .flush_interval_seconds = 3600.0,
+                                       .overflow = OverflowPolicy::kBlock,
+                                       .coalesce = false,
+                                       .background_compaction = false,
+                                       .fast_path = false,
+                                       .async_mode = AsyncModePolicy::kOff},
+                                      &ckpt);
     EXPECT_TRUE(driver.Recover()) << what;
     outcome.applied = driver.applied_seq();
     driver.Stop();

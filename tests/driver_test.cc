@@ -1,6 +1,6 @@
-// StreamDriver tests: equivalence with the bare-engine batch loop,
-// multi-producer ingestion under load with mid-stream query barriers, and
-// shutdown/drain semantics. The concurrency cases (MultiProducer*,
+// Driver tests at the single-lane shape: equivalence with the bare-engine
+// batch loop, multi-producer ingestion under load with mid-stream query
+// barriers, and shutdown/drain semantics. The concurrency cases (MultiProducer*,
 // Backpressure*, Shutdown*) are what `ctest -L concurrency` runs under
 // GRAPHBOLT_SANITIZE=thread.
 #include <gtest/gtest.h>
@@ -15,13 +15,13 @@
 #include "src/core/graphbolt_engine.h"
 #include "src/core/streaming_engine.h"
 #include "src/driver/gutter_buffer.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/ligra_engine.h"
 #include "src/engine/reset_engine.h"
 #include "src/graph/generators.h"
 #include "src/kickstarter/kickstarter_engine.h"
 #include "src/parallel/bounded_queue.h"
 #include "src/parallel/thread_pool.h"
+#include "src/shard/sharded_driver.h"
 #include "src/stream/update_stream.h"
 #include "tests/test_util.h"
 
@@ -67,9 +67,9 @@ void ExpectDriverMatchesSequential(Engine& engine, Engine& reference,
   // normalized effect is equal either way, but the direct-impact pass sums
   // contributions in batch order, and bitwise comparison needs that order
   // preserved).
-  StreamDriver<Engine> driver(&engine, {.batch_size = 1u << 20,
-                                        .flush_interval_seconds = 3600.0,
-                                        .coalesce = false});
+  ShardedDriver<Engine> driver(&engine, {.batch_size = 1u << 20,
+                                         .flush_interval_seconds = 3600.0,
+                                         .coalesce = false});
   for (size_t i = 0; i < batches.size(); ++i) {
     ASSERT_EQ(driver.IngestBatch(batches[i]), batches[i].size());
     driver.Flush();
@@ -163,7 +163,7 @@ TEST(DriverEquivalence, BackgroundCompactionBitwiseIdenticalAndNeverSynchronous)
   engine.InitialCompute();
   reference.InitialCompute();
   {
-    StreamDriver<GraphBoltEngine<PageRank>> driver(
+    ShardedDriver<GraphBoltEngine<PageRank>> driver(
         &engine, {.batch_size = 1u << 20,
                   .flush_interval_seconds = 3600.0,
                   .coalesce = false,
@@ -203,7 +203,7 @@ TEST(StreamDriverTest, MultiProducerIngestUnderLoadWithMidStreamQuery) {
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
 
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
       &engine, {.batch_size = 64, .flush_interval_seconds = 0.002, .max_pending_batches = 2});
 
   constexpr size_t kProducers = 4;
@@ -268,7 +268,7 @@ TEST(StreamDriverTest, ShutdownDrainsPendingMutations) {
   engine.InitialCompute();
   reference.InitialCompute();
 
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
       &engine,
       {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false});
   // Everything stays in the gutter: nothing reaches batch_size and the
@@ -297,7 +297,7 @@ TEST(StreamDriverTest, PrepQueryFastPathAfterDrain) {
   MutableGraph graph(GenerateRmat(300, 2000, {.seed = 61}));
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  StreamDriver<GraphBoltEngine<PageRank>> driver(&engine, {.batch_size = 4});
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(&engine, {.batch_size = 4});
 
   EXPECT_FALSE(driver.PrepQuery());  // nothing ever ingested: cached
   for (int i = 0; i < 10; ++i) {
@@ -311,7 +311,7 @@ TEST(StreamDriverTest, StalenessDeadlineFlushesPartialGutter) {
   MutableGraph graph(GenerateRmat(300, 2000, {.seed = 71}));
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
       &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 0.005});
 
   driver.Ingest(EdgeMutation::Add(1, 2));
@@ -336,7 +336,7 @@ TEST(StreamDriverTest, BackpressureBlocksProducersWithoutLossOrDeadlock) {
   engine.InitialCompute();
 
   // Tiny batches and a single-slot queue force the full-queue path.
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
       &engine, {.batch_size = 8, .flush_interval_seconds = 0.001, .max_pending_batches = 1});
   std::vector<std::thread> producers;
   for (size_t p = 0; p < 3; ++p) {

@@ -1,6 +1,6 @@
 // Tests for the extension surface: Connected Components, Widest Path,
-// Personalized PageRank, buffered mutations (§4.1), and GB-Reset's
-// direction optimization.
+// Personalized PageRank, weight updates, and GB-Reset's direction
+// optimization.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -206,44 +206,6 @@ TEST(PersonalizedPageRank, StreamingMatchesRestart) {
     ligra.ApplyMutations(batch);
     ASSERT_LT(MaxGap(bolt.values(), ligra.values()), 1e-6) << "round " << round;
   }
-}
-
-// ----- Buffered mutations (§4.1) ----------------------------------------------------
-
-TEST(BufferedMutations, EnqueueThenProcessMatchesDirectApply) {
-  EdgeList full = GenerateRmat(400, 3000, {.seed = 160});
-  StreamSplit split = SplitForStreaming(full, 0.5, 161);
-  MutableGraph g1(split.initial);
-  MutableGraph g2(split.initial);
-  GraphBoltEngine<PageRank> buffered(&g1, PageRank{});
-  GraphBoltEngine<PageRank> direct(&g2, PageRank{});
-  buffered.InitialCompute();
-  direct.InitialCompute();
-
-  UpdateStream stream(split.held_back, 162);
-  const MutationBatch b1 = stream.NextBatch(g1, {.size = 20, .add_fraction = 0.6});
-  const MutationBatch b2 = stream.NextBatch(g1, {.size = 20, .add_fraction = 0.6});
-  buffered.EnqueueMutations(b1);
-  buffered.EnqueueMutations(b2);
-  EXPECT_EQ(buffered.pending_mutation_count(), b1.size() + b2.size());
-  buffered.ProcessPending();
-  EXPECT_EQ(buffered.pending_mutation_count(), 0u);
-
-  MutationBatch combined = b1;
-  combined.insert(combined.end(), b2.begin(), b2.end());
-  direct.ApplyMutations(combined);
-  EXPECT_LT(MaxGap(buffered.values(), direct.values()), 1e-9);
-}
-
-TEST(BufferedMutations, ProcessPendingWithEmptyBufferIsNoop) {
-  EdgeList list = GenerateRmat(200, 1000, {.seed = 163});
-  MutableGraph graph(list);
-  GraphBoltEngine<PageRank> engine(&graph, PageRank{});
-  engine.InitialCompute();
-  const std::vector<double> before = engine.values();
-  const AppliedMutations applied = engine.ProcessPending();
-  EXPECT_TRUE(applied.Empty());
-  EXPECT_LT(MaxGap(before, engine.values()), 1e-15);
 }
 
 // ----- Weight-update mutations ---------------------------------------------------------

@@ -20,7 +20,6 @@
 #include "src/core/graphbolt_engine.h"
 #include "src/core/streaming_engine.h"
 #include "src/driver/fast_path.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/ligra_engine.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/fault_injector.h"
@@ -235,10 +234,10 @@ void ExpectFastPathMatchesBatchedReplay(Engine& engine, Engine& reference,
                                         const std::vector<EdgeMutation>& mutations) {
   engine.InitialCompute();
   reference.InitialCompute();
-  StreamDriver<Engine> driver(&engine, {.batch_size = 1u << 20,
-                                        .flush_interval_seconds = 3600.0,
-                                        .coalesce = false,
-                                        .fast_path = true});
+  ShardedDriver<Engine> driver(&engine, {.batch_size = 1u << 20,
+                                         .flush_interval_seconds = 3600.0,
+                                         .coalesce = false,
+                                         .fast_path = true});
   size_t step = 0;
   for (const EdgeMutation& m : mutations) {
     ASSERT_TRUE(driver.IngestFast(m));
@@ -298,7 +297,7 @@ TEST(FastPathDriver, DisabledOptionFallsBackToBatched) {
   MutableGraph graph(SmallWeightedGraph());
   KickStarterEngine<KsSsspTraits> engine(&graph, KsSsspTraits(0));
   engine.InitialCompute();
-  StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
+  ShardedDriver<KickStarterEngine<KsSsspTraits>> driver(
       &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .fast_path = false});
   // A provably safe mutation still lands in the gutter when the option is
   // off: IngestFast degrades to Ingest exactly.
@@ -334,13 +333,13 @@ TEST(FastPathRecovery, ColdRestartBitwiseThroughFastPath) {
     FaultInjector injector(/*seed=*/0xfa57);
     Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
         &engine, &graph, {.directory = tmp.path(), .cadence_batches = 1u << 20}, &injector);
-    StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
-        &engine, {.batch_size = 1u << 20,
-                  .flush_interval_seconds = 3600.0,
-                  .coalesce = false,
-                  .checkpointer = &checkpointer,
-                  .fault_injector = &injector,
-                  .fast_path = true});
+    ShardedDriver<KickStarterEngine<KsSsspTraits>> driver(
+        &engine,
+        {.batch_size = 1u << 20,
+         .flush_interval_seconds = 3600.0,
+         .coalesce = false,
+         .fast_path = true},
+        &checkpointer, &injector);
     ASSERT_TRUE(driver.CheckpointNow());  // baseline
     injector.ArmOnce(FaultSite::kWalAppend, 5, /*burst=*/3);  // 5th append loses all retries
     for (size_t i = 0; i < mutations.size(); ++i) {
@@ -362,12 +361,13 @@ TEST(FastPathRecovery, ColdRestartBitwiseThroughFastPath) {
   KickStarterEngine<KsSsspTraits> engine(&graph, KsSsspTraits(0));
   Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 1u << 20});
-  StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
-      &engine, {.batch_size = 1u << 20,
-                .flush_interval_seconds = 3600.0,
-                .coalesce = false,
-                .checkpointer = &checkpointer,
-                .fast_path = true});
+  ShardedDriver<KickStarterEngine<KsSsspTraits>> driver(
+      &engine,
+      {.batch_size = 1u << 20,
+       .flush_interval_seconds = 3600.0,
+       .coalesce = false,
+       .fast_path = true},
+      &checkpointer);
   ASSERT_TRUE(driver.Recover());
   ASSERT_EQ(engine.values().size(), live_values.size());
   EXPECT_TRUE(SameValueBits(live_values, engine.values()));

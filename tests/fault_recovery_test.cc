@@ -1,5 +1,5 @@
 // ChaosStream differential tier: every fault-injection site fired against a
-// checkpointing StreamDriver, and the recovered result compared bitwise
+// checkpointing single-lane driver, and the recovered result compared bitwise
 // with a fault-free sequential ApplyMutations loop over the same
 // pre-generated batch stream. One pool thread keeps both paths
 // deterministic, so equality is exact (==), not approximate.
@@ -19,7 +19,6 @@
 #include "src/algorithms/sssp.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/core/streaming_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/reset_engine.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/fault_injector.h"
@@ -27,6 +26,7 @@
 #include "src/graph/mutable_graph.h"
 #include "src/kickstarter/kickstarter_engine.h"
 #include "src/parallel/thread_pool.h"
+#include "src/shard/sharded_driver.h"
 #include "src/stream/update_stream.h"
 #include "tests/test_util.h"
 
@@ -52,7 +52,7 @@ std::vector<MutationBatch> MakeBatches(const StreamSplit& split, size_t count, s
 // A kill can land during the barrier itself, so loop until a barrier
 // completes on a healthy worker.
 template <StreamingEngine Engine>
-void DrainWithRecovery(StreamDriver<Engine>& driver) {
+void DrainWithRecovery(ShardedDriver<Engine>& driver) {
   for (int attempt = 0; attempt < 8; ++attempt) {
     if (!driver.healthy()) {
       ASSERT_TRUE(driver.Recover());
@@ -84,11 +84,11 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
   FaultInjector injector(/*seed=*/0x5eed);
   Checkpointer<Engine> checkpointer(
       &engine, &graph, {.directory = dir, .cadence_batches = 3, .keep = 2}, &injector);
-  StreamDriver<Engine> driver(&engine, {.batch_size = 1u << 20,
-                                        .flush_interval_seconds = 3600.0,
-                                        .coalesce = false,
-                                        .checkpointer = &checkpointer,
-                                        .fault_injector = &injector});
+  ShardedDriver<Engine> driver(&engine,
+                               {.batch_size = 1u << 20,
+                                .flush_interval_seconds = 3600.0,
+                                .coalesce = false},
+                               &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());  // baseline: recoverable before batch 1
 
   injector.ArmOnce(FaultSite::kWalAppend, 6, /*burst=*/3);  // batch 6 loses all 3 attempts
@@ -204,11 +204,9 @@ TEST(ColdRecovery, KickStarterStateSurvivesProcessRestart) {
     engine.InitialCompute();
     Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
         &engine, &graph, {.directory = tmp.path(), .cadence_batches = 4});
-    StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
-        &engine, {.batch_size = 1u << 20,
-                  .flush_interval_seconds = 3600.0,
-                  .coalesce = false,
-                  .checkpointer = &checkpointer});
+    ShardedDriver<KickStarterEngine<KsSsspTraits>> driver(
+        &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false},
+        &checkpointer);
     ASSERT_TRUE(driver.CheckpointNow());
     for (size_t i = 0; i < kHandoff; ++i) {
       ASSERT_EQ(driver.IngestBatch(batches[i]), batches[i].size());
@@ -222,11 +220,9 @@ TEST(ColdRecovery, KickStarterStateSurvivesProcessRestart) {
   KickStarterEngine<KsSsspTraits> engine(&graph, KsSsspTraits(0));
   Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 4});
-  StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
-      &engine, {.batch_size = 1u << 20,
-                .flush_interval_seconds = 3600.0,
-                .coalesce = false,
-                .checkpointer = &checkpointer});
+  ShardedDriver<KickStarterEngine<KsSsspTraits>> driver(
+      &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false},
+      &checkpointer);
   ASSERT_TRUE(driver.Recover());
   EXPECT_GE(driver.stats().recoveries, 1u);
 
@@ -252,8 +248,7 @@ TEST(ColdRecovery, EmptyDirectoryFailsCleanly) {
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   Checkpointer<GraphBoltEngine<PageRank>> checkpointer(&engine, &graph,
                                                        {.directory = tmp.path()});
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
-      &engine, {.checkpointer = &checkpointer});
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(&engine, {}, &checkpointer);
   EXPECT_FALSE(driver.Recover());
   EXPECT_EQ(driver.stats().recoveries, 0u);
   EXPECT_TRUE(driver.healthy());  // pipeline restarted even without state
@@ -276,13 +271,13 @@ TEST(ShedToWal, SpuriousQueueFullLosesNothing) {
   FaultInjector injector(/*seed=*/0xc0ffee);
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 0}, &injector);
-  StreamDriver<ResetEngine<PageRank>> driver(
-      &engine, {.batch_size = 1u << 20,
-                .flush_interval_seconds = 3600.0,
-                .overflow = StreamDriver<ResetEngine<PageRank>>::OverflowPolicy::kShedToWal,
-                .coalesce = false,
-                .checkpointer = &checkpointer,
-                .fault_injector = &injector});
+  ShardedDriver<ResetEngine<PageRank>> driver(&engine,
+                                              {.batch_size = 1u << 20,
+                                               .flush_interval_seconds = 3600.0,
+                                               .overflow = OverflowPolicy::kShedToWal,
+                                               .coalesce = false,
+                                               .checkpoint_dir = tmp.path()},
+                                              &checkpointer, &injector);
   injector.ArmOnce(FaultSite::kQueueFull, 2, /*burst=*/3);  // flushes 2..4 shed
 
   constexpr size_t kBatch = 64;

@@ -11,12 +11,12 @@
 #include "src/algorithms/sssp.h"
 #include "src/algorithms/triangle_counting.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/ligra_engine.h"
 #include "src/engine/reset_engine.h"
 #include "src/fault/checkpoint.h"
 #include "src/graph/generators.h"
 #include "src/parallel/thread_pool.h"
+#include "src/shard/sharded_driver.h"
 #include "src/stream/update_stream.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
@@ -246,11 +246,9 @@ TEST_P(RecoveryReplaySweep, CoalescedJournalRecoversBitwise) {
   Checkpointer<GraphBoltEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 4});
   {
-    StreamDriver<GraphBoltEngine<PageRank>> driver(
-        &engine, {.batch_size = 48,
-                  .flush_interval_seconds = 3600.0,
-                  .coalesce = true,
-                  .checkpointer = &checkpointer});
+    ShardedDriver<GraphBoltEngine<PageRank>> driver(
+        &engine, {.batch_size = 48, .flush_interval_seconds = 3600.0, .coalesce = true},
+        &checkpointer);
     ASSERT_TRUE(driver.CheckpointNow());
     UpdateStream stream(split.held_back, seed + 2);
     for (int round = 0; round < 10; ++round) {
@@ -294,11 +292,9 @@ TEST_P(RecoveryReplaySweep, WalTailReplayedTwiceEqualsOnce) {
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 5});
   {
-    StreamDriver<ResetEngine<PageRank>> driver(
-        &engine, {.batch_size = 1u << 20,
-                  .flush_interval_seconds = 3600.0,
-                  .coalesce = false,
-                  .checkpointer = &checkpointer});
+    ShardedDriver<ResetEngine<PageRank>> driver(
+        &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false},
+        &checkpointer);
     ASSERT_TRUE(driver.CheckpointNow());
     UpdateStream stream(split.held_back, seed + 102);
     for (int round = 0; round < 12; ++round) {

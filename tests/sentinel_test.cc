@@ -1,6 +1,6 @@
 // Sentinel tier: admission control, poison-batch quarantine, overload
 // policies (kShedOldest / kDegrade), and the stall watchdog, driven against
-// a real StreamDriver with deterministic fault injection.
+// a real single-lane driver with deterministic fault injection.
 //
 // The differential tests follow the ChaosStream convention
 // (fault_recovery_test.cc): one pool thread, pre-generated batch streams,
@@ -27,7 +27,6 @@
 #include "src/algorithms/pagerank.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/driver/gutter_buffer.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/reset_engine.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/fault_injector.h"
@@ -38,6 +37,7 @@
 #include "src/sentinel/admission.h"
 #include "src/sentinel/quarantine.h"
 #include "src/sentinel/watchdog.h"
+#include "src/shard/sharded_driver.h"
 #include "src/stream/update_stream.h"
 #include "src/util/timer.h"
 #include "tests/test_util.h"
@@ -384,7 +384,7 @@ TEST(AdmissionDriver, PoisonBatchesQuarantinedBitwiseCleanResult) {
   reference.InitialCompute();
 
   const VertexId max_id = full.num_vertices() * 4;
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
       &engine, {.batch_size = 1u << 20,
                 .flush_interval_seconds = 3600.0,
                 .coalesce = false,
@@ -448,7 +448,7 @@ TEST(AdmissionDriver, SingleMutationScreenedByIngest) {
   MutableGraph graph(GenerateRmat(64, 256, {.seed = 5}));
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
       &engine, {.quarantine_dir = quarantine_dir.path(),
                 .admission = {.max_vertex_id = 1000}});
   EXPECT_TRUE(driver.Ingest(EdgeMutation::Add(1, 2)));
@@ -468,10 +468,10 @@ TEST(AdmissionDriver, QuarantineAppendFailureCountsDropped) {
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
   FaultInjector injector(/*seed=*/0xdead);
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
-      &engine, {.fault_injector = &injector,
-                .quarantine_dir = quarantine_dir.path(),
-                .admission = {.max_vertex_id = 1000}});
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
+      &engine,
+      {.quarantine_dir = quarantine_dir.path(), .admission = {.max_vertex_id = 1000}},
+      /*checkpointer=*/nullptr, &injector);
   injector.ArmOnce(FaultSite::kQuarantineAppend, 1);
   MutationBatch poison = {EdgeMutation::Add(2000, 1), EdgeMutation::Add(2001, 2)};
   EXPECT_EQ(driver.IngestBatch(poison), 0u);
@@ -511,7 +511,7 @@ TEST(ReplayQuarantineTest, FixupEquivalenceBitwise) {
 
   const VertexId max_id = full.num_vertices() * 4;
   const VertexId offset = max_id + 1000;
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
       &engine, {.batch_size = 1u << 20,
                 .flush_interval_seconds = 3600.0,
                 .coalesce = false,
@@ -571,7 +571,7 @@ TEST(ReplayQuarantineTest, DiscardAndStillPoisonPaths) {
   MutableGraph graph(GenerateRmat(64, 256, {.seed = 7}));
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
       &engine, {.quarantine_dir = quarantine_dir.path(),
                 .admission = {.max_vertex_id = 1000}});
   MutationBatch poison_a = {EdgeMutation::Add(5000, 1)};
@@ -614,14 +614,14 @@ TEST(WatchdogDriver, InjectedStallAutoRecoversBitwise) {
   FaultInjector injector(/*seed=*/0x57a11);
   Checkpointer<GraphBoltEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 3}, &injector);
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
-      &engine, {.batch_size = 1u << 20,
-                .flush_interval_seconds = 3600.0,
-                .coalesce = false,
-                .checkpointer = &checkpointer,
-                .fault_injector = &injector,
-                .watchdog_stall_seconds = 0.3,
-                .watchdog_poll_seconds = 0.02});
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(
+      &engine,
+      {.batch_size = 1u << 20,
+       .flush_interval_seconds = 3600.0,
+       .coalesce = false,
+       .watchdog_stall_seconds = 0.3,
+       .watchdog_poll_seconds = 0.02},
+      &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
   injector.ArmOnce(FaultSite::kStageStall, 5);  // the 5th apply hangs
 
@@ -675,14 +675,13 @@ TEST(ShedOldest, EvictionsAreDurableAndReplayed) {
   FaultInjector injector(/*seed=*/0x01d);
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0}, &injector);
-  using Driver = StreamDriver<ResetEngine<PageRank>>;
-  Driver driver(&engine, {.batch_size = 1u << 20,
-                          .flush_interval_seconds = 3600.0,
-                          .max_pending_batches = 1,
-                          .overflow = Driver::OverflowPolicy::kShedOldest,
-                          .coalesce = false,
-                          .checkpointer = &checkpointer,
-                          .fault_injector = &injector});
+  ShardedDriver<ResetEngine<PageRank>> driver(&engine,
+                                              {.batch_size = 1u << 20,
+                                               .flush_interval_seconds = 3600.0,
+                                               .max_pending_batches = 1,
+                                               .overflow = OverflowPolicy::kShedOldest,
+                                               .coalesce = false},
+                                              &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
   injector.ArmOnce(FaultSite::kStageStall, 1);
 
@@ -746,19 +745,18 @@ TEST(Degrade, ServesSnapshotUnderPressureThenSelfClears) {
   FaultInjector injector(/*seed=*/0xde9);
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0}, &injector);
-  using Driver = StreamDriver<ResetEngine<PageRank>>;
   // Zero thresholds: any queued work while the EWMA is warm counts as
   // pressure, and pressure clears exactly when the queue is empty — the
   // hysteresis itself is deterministic.
-  Driver driver(&engine, {.batch_size = 1u << 20,
-                          .flush_interval_seconds = 3600.0,
-                          .max_pending_batches = 1,
-                          .overflow = Driver::OverflowPolicy::kDegrade,
-                          .coalesce = false,
-                          .checkpointer = &checkpointer,
-                          .fault_injector = &injector,
-                          .governor = {.degrade_pressure_seconds = 0.0,
-                                       .recover_pressure_seconds = 0.0}});
+  ShardedDriver<ResetEngine<PageRank>> driver(&engine,
+                                              {.batch_size = 1u << 20,
+                                               .flush_interval_seconds = 3600.0,
+                                               .max_pending_batches = 1,
+                                               .overflow = OverflowPolicy::kDegrade,
+                                               .coalesce = false,
+                                               .governor = {.degrade_pressure_seconds = 0.0,
+                                                            .recover_pressure_seconds = 0.0}},
+                                              &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
 
   // Warm the latency EWMA with one normally-applied batch.
@@ -837,18 +835,18 @@ TEST(TortureSentinel, PoisonOverloadStallZeroLoss) {
   FaultInjector injector(/*seed=*/0x70b7);
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 8}, &injector);
-  using Driver = StreamDriver<ResetEngine<PageRank>>;
-  Driver driver(&engine, {.batch_size = 1u << 20,
-                          .flush_interval_seconds = 3600.0,
-                          .max_pending_batches = 2,
-                          .overflow = Driver::OverflowPolicy::kShedToWal,
-                          .coalesce = false,
-                          .checkpointer = &checkpointer,
-                          .fault_injector = &injector,
-                          .quarantine_dir = quarantine_dir.path(),
-                          .admission = {.max_vertex_id = 1u << 20},
-                          .watchdog_stall_seconds = 0.5,
-                          .watchdog_poll_seconds = 0.02});
+  ShardedDriver<ResetEngine<PageRank>> driver(&engine,
+                                              {.batch_size = 1u << 20,
+                                               .flush_interval_seconds = 3600.0,
+                                               .max_pending_batches = 2,
+                                               .overflow = OverflowPolicy::kShedToWal,
+                                               .coalesce = false,
+                                               .checkpoint_dir = ckpt_dir.path(),
+                                               .quarantine_dir = quarantine_dir.path(),
+                                               .admission = {.max_vertex_id = 1u << 20},
+                                               .watchdog_stall_seconds = 0.5,
+                                               .watchdog_poll_seconds = 0.02},
+                                              &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
   // Arm low: under kShedToWal the unpaced flood sheds most batches before
   // they ever reach the apply stage, and shed batches replay only at the

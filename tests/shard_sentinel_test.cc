@@ -9,8 +9,9 @@
 // distinct-edge streams against ResetEngine, whose fixpoint depends only on
 // the final graph, so equality stays exact under reordering. The
 // stall-under-watchdog differential instead records the admitted stream
-// through the apply observer and replays it through the *unsharded*
-// StreamDriver — the acceptance criterion for lifting the restrictions.
+// through the apply observer and replays it on a bare engine, one
+// ApplyMutations per observed batch — the acceptance criterion for lifting
+// the restrictions.
 //
 // Compiled with GRAPHBOLT_FAULT_INJECTION=1 so kStageStall is a live hook.
 // Runs under `ctest -L fault` / `-L concurrency`; the concurrent flood
@@ -28,7 +29,6 @@
 
 #include "src/algorithms/pagerank.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/reset_engine.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/fault_injector.h"
@@ -234,15 +234,15 @@ TEST(ShardedWatchdog, LaneStallIsolationShedsAndResumes) {
   ExpectMatchesFromScratch(driver.QuerySnapshot(), &final_graph);
 }
 
-// ----- The acceptance differential: 4 shards vs the unsharded driver ---------
+// ----- The acceptance differential: 4 shards vs a sequential replay ----------
 
 // Watchdog auto-recovery + kShedToWal + an injected lane stall, on a
 // GraphBoltEngine (incremental, order-sensitive). The apply observer
 // records the admitted stream in global promotion order — including the
-// shed-replay barrier and recovery's first-time promotions — and replaying
-// that exact stream through the unsharded StreamDriver must reproduce the
-// sharded engine state bitwise.
-TEST(ShardedWatchdog, InjectedStallBitwiseEqualToUnshardedDriver) {
+// shed-replay barrier and recovery's first-time promotions — and applying
+// that exact stream to a bare engine must reproduce the sharded engine
+// state bitwise.
+TEST(ShardedWatchdog, InjectedStallBitwiseEqualToSequentialReplay) {
   ThreadPool::SetNumThreads(1);
   ScopedTempDir ckpt_dir;
   const EdgeList full = GenerateRmat(800, 6000, {.seed = 201});
@@ -304,15 +304,11 @@ TEST(ShardedWatchdog, InjectedStallBitwiseEqualToUnshardedDriver) {
     ASSERT_EQ(admitted_total, offered);  // nothing lost, nothing duplicated
   }
 
-  // The unsharded replay: same admitted stream, same flush boundaries.
-  StreamDriver<GraphBoltEngine<PageRank>> replay(&reference, {.batch_size = 1u << 20,
-                                                              .flush_interval_seconds = 3600.0,
-                                                              .coalesce = false});
+  // The sequential replay: same admitted stream, same batch boundaries.
   for (const MutationBatch& batch : admitted) {
-    ASSERT_EQ(replay.IngestBatch(batch), batch.size());
-    replay.Flush();
+    reference.ApplyMutations(batch);
   }
-  ExpectBitwiseEqual(engine.values(), replay.values());
+  ExpectBitwiseEqual(engine.values(), reference.values());
 }
 
 // ----- kShedToWal differential at shards = 1 | 2 | 4 --------------------------
@@ -565,7 +561,7 @@ TEST(ShardedDegrade, ServesSnapshotUnderPressureThenSelfClears) {
 // Sub-batch-size mutations parked in lane gutters must promote at the
 // flush deadline with no explicit Flush() — the lane worker carries the
 // monotonic deadline across poll timeouts (NextPollSeconds), exactly like
-// the PR 5 StreamDriver fix. A second wave proves the deadline re-arms.
+// the single-lane shape. A second wave proves the deadline re-arms.
 TEST(ShardedStaleGutter, FlushDeadlineIsMonotonicAcrossPolls) {
   ThreadPool::SetNumThreads(1);
   const EdgeList full = GenerateRmat(200, 1200, {.seed = 151});

@@ -1,7 +1,7 @@
 // Sharded-driver tier: DriverConfig parse/validate matrix, session quota
 // enforcement (deterministic lifetime caps, shared tenant state, the
 // screen-before-quota ordering), the 4-shard bitwise equivalence against
-// the unsharded StreamDriver on the same admitted stream (PageRank, SSSP,
+// a bare engine replaying the same admitted stream (PageRank, SSSP,
 // KickStarter), shard-partition invariants, the FrontierBuilder bitset
 // pool, and the adaptive splice-vs-rebuild apply strategy. The concurrency
 // cases are part of `ctest -L concurrency` and run under
@@ -20,7 +20,6 @@
 #include "src/algorithms/pagerank.h"
 #include "src/algorithms/sssp.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/engine/vertex_subset.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
@@ -80,7 +79,6 @@ TEST(DriverConfigCli, FastPathFlagRoundTrip) {
   config.shards = 4;
   config.checkpoint_dir = "/tmp/ckpt";
   EXPECT_TRUE(config.Validate().empty()) << config.Validate();
-  EXPECT_TRUE(config.ToStreamOptions<GraphBoltEngine<PageRank>>().fast_path);
 }
 
 TEST(DriverConfigCli, FullSurfaceParses) {
@@ -127,6 +125,7 @@ TEST(DriverConfigCli, RejectMatrix) {
       {{"--flush-ms", "0"}, "--flush-ms"},
       {{"--max-pending-batches", "0"}, "--max-pending-batches"},
       {{"--overflow", "sideways"}, "block | drop | shed | shed-oldest | degrade"},
+      {{"--async-mode", "auto"}, "off | degrade-only"},
       {{"--maintenance-budget", "0"}, "--maintenance-budget"},
       {{"--checkpoint-every", "-1"}, "--checkpoint-every"},
       {{"--max-batch-edges", "-5"}, "--max-batch-edges"},
@@ -222,6 +221,18 @@ TEST(DriverConfigOverflow, NamesRoundTrip) {
   OverflowPolicy untouched = OverflowPolicy::kBlock;
   EXPECT_FALSE(DriverConfig::ParseOverflow("sideways", &untouched));
   EXPECT_EQ(untouched, OverflowPolicy::kBlock);
+}
+
+TEST(DriverConfigAsyncMode, NamesRoundTrip) {
+  for (const char* name : {"off", "degrade-only"}) {
+    AsyncModePolicy policy;
+    ASSERT_TRUE(DriverConfig::ParseAsyncMode(name, &policy)) << name;
+    EXPECT_STREQ(DriverConfig::AsyncModeName(policy), name);
+  }
+  // There is no "auto" policy.
+  AsyncModePolicy untouched = AsyncModePolicy::kOff;
+  EXPECT_FALSE(DriverConfig::ParseAsyncMode("auto", &untouched));
+  EXPECT_EQ(untouched, AsyncModePolicy::kOff);
 }
 
 // Environment overrides apply on top of the current values; the test
@@ -503,7 +514,7 @@ TEST(SessionQuota, QuarantinedBatchDoesNotDebitTheAllowance) {
   EXPECT_EQ(session.stats().mutations_accepted, 100u);
 }
 
-// ----- Sharded vs. unsharded equivalence ------------------------------------
+// ----- Sharded vs. sequential replay equivalence ----------------------------
 
 // Pre-generates batches against an evolving shadow graph (same idiom as
 // driver_test.cc) so every run sees an identical stream.
@@ -522,13 +533,13 @@ std::vector<MutationBatch> MakeBatches(const StreamSplit& split, size_t count, s
 
 // Streams the batches through a 4-shard driver from concurrent producer
 // sessions, recording the promotion order via the apply observer, then
-// replays exactly that admitted stream through an unsharded StreamDriver
-// wrapped around `reference`. With one pool thread both engines are
+// replays exactly that admitted stream on the bare `reference` engine, one
+// ApplyMutations per observed batch. With one pool thread both engines are
 // deterministic, so the snapshots must agree BITWISE — the acceptance
 // criterion of the sharded barrier: one BSP-consistent snapshot,
-// indistinguishable from the single-lane pipeline on the same stream.
+// indistinguishable from applying the admitted stream in promotion order.
 template <StreamingEngine Engine>
-void ExpectShardedMatchesUnsharded(Engine& engine, Engine& reference,
+void ExpectShardedMatchesSequentialReplay(Engine& engine, Engine& reference,
                                    const std::vector<MutationBatch>& batches) {
   engine.InitialCompute();
   reference.InitialCompute();
@@ -576,22 +587,18 @@ void ExpectShardedMatchesUnsharded(Engine& engine, Engine& reference,
   }
   ASSERT_EQ(admitted_total, offered);  // nothing lost, nothing duplicated
 
-  // The unsharded replay: same admitted stream, same flush boundaries.
-  StreamDriver<Engine> replay(&reference, {.batch_size = 1u << 20,
-                                           .flush_interval_seconds = 3600.0,
-                                           .coalesce = false});
+  // The sequential replay: same admitted stream, same batch boundaries.
   for (const MutationBatch& batch : admitted) {
-    ASSERT_EQ(replay.IngestBatch(batch), batch.size());
-    replay.Flush();
+    reference.ApplyMutations(batch);
   }
-  const auto& values = replay.values();
+  const auto& values = reference.values();
   ASSERT_EQ(values.size(), engine.values().size());
   for (size_t v = 0; v < values.size(); ++v) {
     ASSERT_EQ(values[v], engine.values()[v]) << "vertex " << v;
   }
 }
 
-TEST(ShardedEquivalence, PageRankBitwiseIdenticalToUnshardedDriver) {
+TEST(ShardedEquivalence, PageRankBitwiseIdenticalToSequentialReplay) {
   ThreadPool::SetNumThreads(1);  // deterministic summation order
   EdgeList full = GenerateRmat(1500, 12000, {.seed = 11});
   StreamSplit split = SplitForStreaming(full, 0.5, 12);
@@ -601,10 +608,10 @@ TEST(ShardedEquivalence, PageRankBitwiseIdenticalToUnshardedDriver) {
   MutableGraph g_ref(split.initial);
   GraphBoltEngine<PageRank> engine(&g_sharded, PageRank{});
   GraphBoltEngine<PageRank> reference(&g_ref, PageRank{});
-  ExpectShardedMatchesUnsharded(engine, reference, batches);
+  ExpectShardedMatchesSequentialReplay(engine, reference, batches);
 }
 
-TEST(ShardedEquivalence, SsspBitwiseIdenticalToUnshardedDriver) {
+TEST(ShardedEquivalence, SsspBitwiseIdenticalToSequentialReplay) {
   ThreadPool::SetNumThreads(1);
   EdgeList full = GenerateRmat(1200, 9000, {.seed = 21, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 22);
@@ -615,10 +622,10 @@ TEST(ShardedEquivalence, SsspBitwiseIdenticalToUnshardedDriver) {
   const GraphBoltEngine<Sssp>::Options options{.max_iterations = 128, .run_to_convergence = true};
   GraphBoltEngine<Sssp> engine(&g_sharded, Sssp(0), options);
   GraphBoltEngine<Sssp> reference(&g_ref, Sssp(0), options);
-  ExpectShardedMatchesUnsharded(engine, reference, batches);
+  ExpectShardedMatchesSequentialReplay(engine, reference, batches);
 }
 
-TEST(ShardedEquivalence, KickStarterBitwiseIdenticalToUnshardedDriver) {
+TEST(ShardedEquivalence, KickStarterBitwiseIdenticalToSequentialReplay) {
   ThreadPool::SetNumThreads(1);
   EdgeList full = GenerateRmat(1000, 8000, {.seed = 31, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 32);
@@ -628,7 +635,7 @@ TEST(ShardedEquivalence, KickStarterBitwiseIdenticalToUnshardedDriver) {
   MutableGraph g_ref(split.initial);
   KickStarterEngine<KsSsspTraits> engine(&g_sharded, KsSsspTraits(0));
   KickStarterEngine<KsSsspTraits> reference(&g_ref, KsSsspTraits(0));
-  ExpectShardedMatchesUnsharded(engine, reference, batches);
+  ExpectShardedMatchesSequentialReplay(engine, reference, batches);
 }
 
 // ----- Shard partition invariants -------------------------------------------

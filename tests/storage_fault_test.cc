@@ -17,13 +17,13 @@
 
 #include "src/algorithms/pagerank.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/driver/stream_driver.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/storage_env.h"
 #include "src/fault/wal.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
 #include "src/parallel/thread_pool.h"
+#include "src/shard/sharded_driver.h"
 #include "tests/test_util.h"
 
 namespace graphbolt {
@@ -353,15 +353,15 @@ TEST(DriverFaultTest, FullDiskKeepsServingAndRecoversWhenSpaceReturns) {
   ScopedTempDir tmp("gb_storage_fault");
   FaultyEnv env;
   Rig rig(tmp.path(), &env, /*cadence=*/2);
-  StreamDriver<Engine> driver(rig.engine.get(),
-                              {.batch_size = 4,
-                               .flush_interval_seconds = 3600.0,
-                               .overflow = OverflowPolicy::kBlock,
-                               .coalesce = false,
-                               .checkpointer = rig.ckpt.get(),
-                               .background_compaction = false,
-                               .fast_path = false,
-                               .async_mode = AsyncModePolicy::kOff});
+  ShardedDriver<Engine> driver(rig.engine.get(),
+                               {.batch_size = 4,
+                                .flush_interval_seconds = 3600.0,
+                                .overflow = OverflowPolicy::kBlock,
+                                .coalesce = false,
+                                .background_compaction = false,
+                                .fast_path = false,
+                                .async_mode = AsyncModePolicy::kOff},
+                               rig.ckpt.get());
   ASSERT_TRUE(driver.CheckpointNow());
   const std::vector<double> at_baseline = rig.engine->values();
 
@@ -382,11 +382,15 @@ TEST(DriverFaultTest, FullDiskKeepsServingAndRecoversWhenSpaceReturns) {
     ADD_FAILURE() << "graph is complete";
     return EdgeMutation::Add(0, 1);
   };
-  for (int i = 0; i < 3; ++i) {
-    MutationBatch batch;
+  // All three batches are drawn before the first is ingested: next_fresh
+  // reads the live graph, which the lane worker writes once a batch flushes.
+  std::vector<MutationBatch> batches(3);
+  for (MutationBatch& batch : batches) {
     for (int m = 0; m < 4; ++m) {
       batch.push_back(next_fresh());
     }
+  }
+  for (const MutationBatch& batch : batches) {
     driver.IngestBatch(batch);
   }
   driver.PrepQuery();  // barrier: everything ingested above is applied
