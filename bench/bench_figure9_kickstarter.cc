@@ -93,7 +93,8 @@ void Run() {
   std::printf(
       "\nExpected shape (Figure 9): KickStarter fastest (monotonic asynchrony,\n"
       "minimal dependence state); GraphBolt pays for BSP-exact per-iteration\n"
-      "history and min re-evaluation, mostly on deletions (9a vs 9b).\n");
+      "history. Its min re-evaluation re-pulls only vertices that lost their\n"
+      "attaining input, so deletions cost little more than additions (9a ~ 9b).\n");
 }
 
 }  // namespace

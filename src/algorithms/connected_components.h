@@ -5,10 +5,10 @@
 // On a symmetric (undirected-style) graph this converges to the weakly
 // connected component id (the minimum vertex id in the component); on a
 // digraph it labels vertices by the smallest id that can reach them. The
-// aggregation is non-decomposable (min) and monotonic: edge additions only
-// lower labels, so addition-only batches use the engine's push fast path,
-// while deletions trigger min re-evaluation — the same machinery the paper
-// exercises with SSSP (§3.3, §5.4B).
+// aggregation is non-decomposable (min), monotonic and selective: a lowered
+// label is folded into the stored minimum, and only a vertex whose attaining
+// in-label was deleted or raised is re-evaluated from its in-neighborhood —
+// the same machinery the paper exercises with SSSP (§3.3, §5.4B).
 #ifndef SRC_ALGORITHMS_CONNECTED_COMPONENTS_H_
 #define SRC_ALGORITHMS_CONNECTED_COMPONENTS_H_
 
@@ -26,6 +26,7 @@ class ConnectedComponents {
 
   static constexpr AggregationKind kKind = AggregationKind::kNonDecomposable;
   static constexpr bool kMonotonic = true;
+  static constexpr bool kSelective = true;  // min returns one of its operands
   static constexpr bool kContextFree = true;  // the label itself is the candidate
 
   Value InitialValue(VertexId v, const VertexContext& /*ctx*/) const {

@@ -5,7 +5,10 @@
 //
 // The aggregation is bitwise OR — idempotent and monotonic under additions
 // (like min/max, it cannot retract a bit), so it exercises the engine's
-// non-decomposable machinery with an *integer* aggregate type. This is the
+// non-decomposable machinery with an *integer* aggregate type. Unlike
+// min/max it is not selective: an OR can owe a bit to any non-zero input,
+// so the engine re-pulls a vertex whenever a non-zero input of it is
+// deleted or loses bits. This is the
 // core of neighborhood-function / radius estimation algorithms (the
 // Ligra-family "MSBFS" pattern), and a streaming primitive in its own
 // right: which regions can my monitors still see as edges churn?

@@ -4,10 +4,12 @@
 //   g(v) = min_{(u,v) ∈ E} ( c(u) + weight(u,v) )
 //   c(v) = v == source ? 0 : g(v)
 //
-// min has no inverse, so the engine re-evaluates impacted vertices by
-// pulling their full in-neighborhood — the re-evaluation strategy the paper
-// uses when comparing against KickStarter. Run in convergence mode: rounds
-// are Bellman–Ford iterations.
+// min has no inverse, but it is monotonic and selective (kMonotonic,
+// kSelective): at each refined level the engine folds every improved
+// candidate into the stored minimum and re-evaluates, by pulling the full
+// in-neighborhood, only a vertex whose deleted or worsened in-edge attained
+// its old minimum — KickStarter-style dependency trimming, applied per
+// level. Run in convergence mode: rounds are Bellman–Ford iterations.
 #ifndef SRC_ALGORITHMS_SSSP_H_
 #define SRC_ALGORITHMS_SSSP_H_
 
@@ -29,6 +31,7 @@ class Sssp {
 
   static constexpr AggregationKind kKind = AggregationKind::kNonDecomposable;
   static constexpr bool kMonotonic = true;
+  static constexpr bool kSelective = true;  // min returns one of its operands
   static constexpr bool kContextFree = true;  // candidate = value + w, degree-blind
 
   explicit Sssp(VertexId source) : source_(source) {}
@@ -71,6 +74,7 @@ class Bfs {
 
   static constexpr AggregationKind kKind = AggregationKind::kNonDecomposable;
   static constexpr bool kMonotonic = true;
+  static constexpr bool kSelective = true;  // min returns one of its operands
   static constexpr bool kContextFree = true;  // candidate = value + 1, degree-blind
 
   explicit Bfs(VertexId source) : source_(source) {}

@@ -61,15 +61,29 @@ VertexContext ComputeVertexContext(const MutableGraph& graph, VertexId v);
 std::vector<VertexContext> ComputeVertexContexts(const MutableGraph& graph);
 
 // Optional marker: the aggregation absorbs improved inputs without
-// retraction (min/max-style idempotent domination). When a mutation batch
-// contains only edge additions, values can only improve, so the engine may
-// push improved contributions directly instead of re-evaluating full
-// in-neighborhoods (§5.4B: "edge additions in SSSP can be computed
-// incrementally by min without re-evaluating it").
+// retraction (min/max-style idempotent domination, or bitwise OR). An input
+// that got better is folded in with ⊕ (§5.4B: "edge additions in SSSP can
+// be computed incrementally by min without re-evaluating it"); only a
+// target that lost part of its old aggregate needs a full in-neighborhood
+// pull.
 template <typename A>
 constexpr bool IsMonotonicAggregation() {
   if constexpr (requires { A::kMonotonic; }) {
     return A::kMonotonic;
+  } else {
+    return false;
+  }
+}
+
+// Optional marker: ⊕ is selective — it always returns one of its operands
+// (min, max). Then an input "attains" the aggregate exactly when its
+// contribution equals it, and removing or worsening any other input cannot
+// move the aggregate. Bitwise OR is monotonic but not selective: every
+// non-identity input may carry bits of the aggregate.
+template <typename A>
+constexpr bool IsSelectiveAggregation() {
+  if constexpr (requires { A::kSelective; }) {
+    return A::kSelective;
   } else {
     return false;
   }

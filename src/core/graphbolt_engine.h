@@ -32,9 +32,19 @@
 // in-edges for frontier members and sums its ⋃△ locally) instead of
 // claiming targets and pushing atomic deltas into them.
 //
-// Non-decomposable aggregations (min/max) cannot retract; for those the
-// engine re-evaluates impacted vertices by pulling the full in-neighborhood
-// at every refined level (§3.3 "Aggregation Properties & Extensions").
+// Non-decomposable aggregations (min/max) cannot retract (§3.3 "Aggregation
+// Properties & Extensions"). For a monotonic one the engine refines each
+// level selectively: every changed or added input is folded into the stored
+// aggregate with ⊕, and only a target that lost an input attaining its old
+// aggregate (deleted, or worse than before) is re-evaluated by pulling its
+// full in-neighborhood. For a selective ⊕ (min/max) an input attains the
+// aggregate iff it equals it; for any other (bitwise OR) every non-identity
+// input may. Other non-decomposable aggregations re-pull every target.
+//
+// When a refined run needs more levels than the stored one, the
+// continuation snapshots the aggregates of the levels it adds, so the store
+// still describes the whole run — as InitialCompute on the new snapshot
+// would — up to the history_size cap.
 #ifndef SRC_CORE_GRAPHBOLT_ENGINE_H_
 #define SRC_CORE_GRAPHBOLT_ENGINE_H_
 
@@ -93,8 +103,10 @@ class GraphBoltEngine {
     // recompute-with-tracking instead of refinement — at such densities
     // refinement cost approaches (or exceeds) a GB-Reset restart.
     double reset_fallback_fraction = 0.0;
-    // Ablation switch: disables the monotonic push fast path for
-    // addition-only batches, forcing full min/max re-evaluation.
+    // Ablation switch: forces full re-evaluation — every target of a
+    // non-decomposable level pulls its full in-neighborhood, instead of
+    // folding improved inputs and re-pulling only targets that lost an
+    // attaining input.
     bool disable_monotonic_push = false;
   };
 
@@ -246,8 +258,10 @@ class GraphBoltEngine {
   //    safe when its candidate contribution cannot improve the target's
   //    aggregation at any tracked level of the dependency store (min/max
   //    absorbs it without moving a bit); a deletion is safe when its
-  //    contribution is strictly dominated at every level (removing a
-  //    non-attaining input leaves each re-evaluated min unchanged).
+  //    contribution attains the aggregate at no level (MayAttain): for a
+  //    selective ⊕ it is strictly dominated or the identity (removing a
+  //    non-attaining input leaves each re-evaluated min unchanged); for
+  //    any other ⊕ (bitwise OR) it is the identity.
   //  - Decomposable algorithms (PageRank): a real edge change shifts the
   //    endpoint's degree context, which moves its contribution along every
   //    incident edge, so only graph no-ops are safe.
@@ -321,11 +335,9 @@ class GraphBoltEngine {
                 algo_.ContributionOf(e.src, value_entering(level, e.src), e.weight,
                                      contexts_[e.src]);
             const Aggregate& cur = store_.At(level, e.dst);
-            Aggregate probe = cur;
-            algo_.AggregateAtomic(&probe, cand);
             // Dominating (shouldn't happen for a present edge) or attaining
             // the aggregate: the edge is load-bearing, escalate.
-            if (!SameBits(probe, cur) || SameBits(cand, cur)) {
+            if (!Dominates(cur, cand) || MayAttain(cand, cur)) {
               return {false, "attains-aggregate"};
             }
           }
@@ -616,6 +628,38 @@ class GraphBoltEngine {
     static_assert(std::is_trivially_copyable_v<T>);
     return std::memcmp(&a, &b, sizeof(T)) == 0;
   }
+
+  // Whether an input of contribution `c` may carry part of the aggregate
+  // `agg`, so that deleting or worsening it could move `agg`. An identity
+  // input never does (a pull starts from the identity). A selective ⊕
+  // (min/max) returns one of its operands, so only an input equal to `agg`
+  // attains it; any other ⊕ (bitwise OR) may owe it to every input.
+  bool MayAttain(const Aggregate& c, const Aggregate& agg) const {
+    if (SameBits(c, algo_.IdentityAggregate())) {
+      return false;
+    }
+    if constexpr (IsSelectiveAggregation<Algo>()) {
+      return SameBits(c, agg);
+    } else {
+      return true;
+    }
+  }
+
+  // Whether `next` is at least as good as `prev` under ⊕ (prev ⊕ next is
+  // next): replacing input prev by next cannot lose any part of an
+  // aggregate.
+  bool Dominates(const Aggregate& next, const Aggregate& prev) const {
+    Aggregate probe = prev;
+    algo_.AggregateAtomic(&probe, next);
+    return SameBits(probe, next);
+  }
+
+  // Monotonic non-decomposable levels can refine selectively (fold, mark,
+  // re-pull the marked; see RefineLevel). The attain test compares
+  // contributions with aggregates, so both must be one type.
+  static constexpr bool kSelectiveCapable =
+      kPullBased && IsMonotonicAggregation<Algo>() &&
+      std::is_same_v<typename Algo::Contribution, Aggregate>;
 
   struct FrontierEntry {
     VertexId v;
@@ -972,55 +1016,43 @@ class GraphBoltEngine {
     std::vector<Aggregate>& agg = aggregates_;
 
     if constexpr (kPullBased) {
-      // 3a-fast. Monotonic aggregations with addition-only batches: values
-      // only improve, and the aggregation absorbs improved inputs without
-      // retraction, so push the improved contributions directly (§5.4B).
-      const bool push_only = IsMonotonicAggregation<Algo>() && applied.deleted.empty() &&
-                             !options_.disable_monotonic_push;
-      if (push_only) {
-        for (const Edge& e : applied.added) {
-          algo_.AggregateAtomic(&agg[e.dst],
-                                algo_.ContributionOf(e.src, NewValueAt(level - 1, e.src, prev),
-                                                     e.weight, contexts_[e.src]));
+      // 3a. Non-decomposable: a monotonic ⊕ folds the improved inputs into
+      //     the stored aggregates and marks only the targets that lost an
+      //     attaining input (FoldAndMark); forced full re-evaluation, or a
+      //     non-monotonic ⊕, marks every target. Marked targets are
+      //     re-evaluated from their full new in-neighborhood using refined
+      //     level-1 values.
+      bool pull_all = true;
+      if constexpr (kSelectiveCapable) {
+        if (!options_.disable_monotonic_push) {
+          FoldAndMark(level, applied, frontier, old_contexts, prev, &edges);
+          pull_all = false;
         }
-        stats_.edges_processed += applied.added.size();
-        ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
-          uint64_t local_edges = 0;
-          for (size_t i = lo; i < hi; ++i) {
-            const FrontierEntry& entry = frontier[i];
-            const auto out_nbrs = graph_->OutNeighbors(entry.v);
-            const auto out_wts = graph_->OutWeights(entry.v);
-            for (size_t e = 0; e < out_nbrs.size(); ++e) {
-              algo_.AggregateAtomic(&agg[out_nbrs[e]],
-                                    algo_.ContributionOf(entry.v, entry.new_value, out_wts[e],
-                                                         contexts_[entry.v]));
-            }
-            local_edges += out_nbrs.size();
-          }
-          edges.fetch_add(local_edges, std::memory_order_relaxed);
-        }, /*grain=*/64);
-      } else {
-        // 3a. Non-decomposable: re-evaluate each target from its full new
-        // in-neighborhood using refined level-1 values.
-        ParallelForChunks(0, targets.size(), [&](size_t lo, size_t hi) {
-          uint64_t local_edges = 0;
-          for (size_t i = lo; i < hi; ++i) {
-            const VertexId v = targets.members()[i];
-            Aggregate fresh = algo_.IdentityAggregate();
-            const auto in_nbrs = graph_->InNeighbors(v);
-            const auto in_wts = graph_->InWeights(v);
-            for (size_t e = 0; e < in_nbrs.size(); ++e) {
-              const VertexId u = in_nbrs[e];
-              algo_.AggregateAtomic(
-                  &fresh, algo_.ContributionOf(u, NewValueAt(level - 1, u, prev), in_wts[e],
-                                               contexts_[u]));
-            }
-            local_edges += in_nbrs.size();
-            agg[v] = fresh;
-          }
-          edges.fetch_add(local_edges, std::memory_order_relaxed);
-        }, /*grain=*/64);
       }
+      ParallelForChunks(0, targets.size(), [&](size_t lo, size_t hi) {
+        uint64_t local_edges = 0;
+        for (size_t i = lo; i < hi; ++i) {
+          const VertexId v = targets.members()[i];
+          if (!pull_all) {
+            if (!repull_.Test(v)) {
+              continue;
+            }
+            repull_.Clear(v);
+          }
+          Aggregate fresh = algo_.IdentityAggregate();
+          const auto in_nbrs = graph_->InNeighbors(v);
+          const auto in_wts = graph_->InWeights(v);
+          for (size_t e = 0; e < in_nbrs.size(); ++e) {
+            const VertexId u = in_nbrs[e];
+            algo_.AggregateAtomic(
+                &fresh, algo_.ContributionOf(u, NewValueAt(level - 1, u, prev), in_wts[e],
+                                             contexts_[u]));
+          }
+          local_edges += in_nbrs.size();
+          agg[v] = fresh;
+        }
+        edges.fetch_add(local_edges, std::memory_order_relaxed);
+      }, /*grain=*/64);
     } else {
       // 3b. Direct impact: ⊎ new edges' old contributions, ⋃- deleted ones.
       for (const Edge& e : applied.added) {
@@ -1161,6 +1193,67 @@ class GraphBoltEngine {
     return targets;
   }
 
+  // The fold and mark steps of a selective non-decomposable level (the
+  // per-level dependency trimming of KickStarter; RisGraph's safe/unsafe
+  // split). `aggregates_` holds the targets' old aggregates, as
+  // ClaimTargets materialized them.
+  //  - Fold: every frontier out-edge and every added edge folds its new
+  //    contribution into its target with ⊕. For a monotonic ⊕ that alone
+  //    gives the new aggregate unless an input was lost: the aggregate
+  //    absorbs improved inputs, and a worse input that did not attain the
+  //    old aggregate never mattered.
+  //  - Mark: a target whose input was deleted, or got worse (the new
+  //    contribution does not dominate the old), while the old contribution
+  //    attained the old aggregate (MayAttain) is set in `repull_` for a full
+  //    pull, which discards the fold.
+  // A frontier out-edge that the batch added is also judged as a changed
+  // input; at worst that marks a target the pull did not need.
+  void FoldAndMark(uint32_t level, const AppliedMutations& applied,
+                   const std::vector<FrontierEntry>& frontier,
+                   const std::vector<VertexContext>& old_contexts, const LevelScratch& prev,
+                   std::atomic<uint64_t>* edges) {
+    const VertexId n = graph_->num_vertices();
+    if (repull_.size() < n) {
+      repull_.Resize(n);  // all clear: each level's pull clears its marks
+    }
+    std::vector<Aggregate>& agg = aggregates_;
+    for (const Edge& e : applied.added) {
+      algo_.AggregateAtomic(&agg[e.dst],
+                            algo_.ContributionOf(e.src, NewValueAt(level - 1, e.src, prev),
+                                                 e.weight, contexts_[e.src]));
+    }
+    for (const Edge& e : applied.deleted) {
+      const Aggregate old_c =
+          algo_.ContributionOf(e.src, OldValueAt(level - 1, e.src, old_contexts, prev), e.weight,
+                               old_contexts[e.src]);
+      if (MayAttain(old_c, store_.At(level, e.dst))) {
+        repull_.Set(e.dst);
+      }
+    }
+    stats_.edges_processed += applied.added.size() + applied.deleted.size();
+    ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
+      uint64_t local_edges = 0;
+      for (size_t i = lo; i < hi; ++i) {
+        const FrontierEntry& entry = frontier[i];
+        const auto out_nbrs = graph_->OutNeighbors(entry.v);
+        const auto out_wts = graph_->OutWeights(entry.v);
+        for (size_t e = 0; e < out_nbrs.size(); ++e) {
+          const VertexId w = out_nbrs[e];
+          const Aggregate new_c =
+              algo_.ContributionOf(entry.v, entry.new_value, out_wts[e], contexts_[entry.v]);
+          algo_.AggregateAtomic(&agg[w], new_c);
+          const Aggregate old_c = algo_.ContributionOf(entry.v, entry.old_value, out_wts[e],
+                                                       old_contexts[entry.v]);
+          if (!Dominates(new_c, old_c) && MayAttain(old_c, store_.At(level, w))) {
+            repull_.Set(w);
+          }
+        }
+        local_edges += out_nbrs.size();
+      }
+      edges->fetch_add(local_edges, std::memory_order_relaxed);
+    }, /*grain=*/64);
+  }
+
   // Steps 1, 2 and 4 of a dense decomposable level in the pull direction
   // (Ligra's dense edgeMap): one pass over every vertex's in-edges. A vertex
   // is a target iff it is a direct mutation target or has a frontier
@@ -1237,8 +1330,22 @@ class GraphBoltEngine {
 
   // Computation-aware hybrid execution past the refined history: selective
   // pull-recomputation seeded by the changed-bit vectors.
+  //
+  // When every original level is tracked, the levels the continuation adds
+  // are snapshotted whole (aggregates and changed bits), so the store stays
+  // what InitialCompute on the new snapshot would build and the next batch
+  // refines them instead of continuing again. The working array starts as
+  // the last tracked level: a vertex that is not pulled at a level keeps
+  // its previous aggregate, exactly as in TrackedIteration. SnapshotLevel
+  // drops aggregates past history_size, so horizontal pruning stays the
+  // only cap on history.
   void ContinueBeyondHistory(uint32_t from_level, uint32_t orig_total) {
     const VertexId n = graph_->num_vertices();
+    const bool snapshot = from_level >= 1 && from_level == orig_total &&
+                          from_level < store_.history_size();
+    if (snapshot) {
+      store_.MaterializeLevel(from_level, VertexSubset::All(n), &aggregates_);
+    }
 
     // Full value array at the entry level.
     std::vector<Value> cur(n);
@@ -1291,6 +1398,9 @@ class GraphBoltEngine {
           const VertexId v = targets.members()[i];
           const Aggregate agg = PullAggregate(v, cur, &local_edges);
           fresh[i] = algo_.VertexCompute(v, agg, contexts_[v]);
+          if (snapshot) {
+            aggregates_[v] = agg;
+          }
         }
         edges.fetch_add(local_edges, std::memory_order_relaxed);
       }, /*grain=*/64);
@@ -1322,7 +1432,11 @@ class GraphBoltEngine {
           }
           cur[v] = fresh[i];
         }
-        store_.AppendChangedBits(std::move(bits));
+        if (snapshot) {
+          store_.SnapshotLevel(level, aggregates_, std::move(bits));
+        } else {
+          store_.AppendChangedBits(std::move(bits));
+        }
       }
       frontier = std::move(next);
       ++stats_.iterations;
@@ -1415,6 +1529,7 @@ class GraphBoltEngine {
   LevelScratch scratch_[2];   // old/new values of the two live levels
   AtomicBitset in_next_;      // next-frontier membership of one level
   AtomicBitset in_frontier_;  // frontier membership on a pull level
+  AtomicBitset repull_;       // targets of a selective level needing a full pull
   std::vector<VertexId> stale_contexts_;  // fast-path splice endpoints since Refine
   StoreT store_;
   EngineStats stats_;

@@ -278,6 +278,7 @@ class ShardedDriver {
     // One heartbeat slot table entry per (lane, stage); sized before the
     // first worker can heartbeat.
     watchdog_.SetLanes(lanes_.size());
+    default_tenant_ = GetTenantState(std::string());
     for (auto& lane : lanes_) {
       Lane* raw = lane.get();
       raw->worker = std::thread([this, raw] { LaneLoop(*raw); });
@@ -322,14 +323,12 @@ class ShardedDriver {
   // no engine mutex — while an unsafe one escalates into its lane as a
   // refinement micro-batch. With fast_path off, or an engine that cannot
   // classify, it is exactly Ingest.
-  bool Ingest(const EdgeMutation& mutation) {
-    return IngestFor(GetTenantState(std::string()), mutation);
-  }
+  bool Ingest(const EdgeMutation& mutation) { return IngestFor(default_tenant_, mutation); }
   bool IngestFast(const EdgeMutation& mutation) {
-    return IngestFastFor(GetTenantState(std::string()), mutation);
+    return IngestFastFor(default_tenant_, mutation);
   }
   size_t IngestBatch(const MutationBatch& batch) {
-    return IngestBatchFor(GetTenantState(std::string()), batch);
+    return IngestBatchFor(default_tenant_, batch);
   }
 
   // Hands every lane's gutter remainder to its worker.
@@ -1932,6 +1931,10 @@ class ShardedDriver {
 
   std::mutex tenants_mu_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
+  // The session-less surface's tenant (""), resolved once at construction
+  // so Ingest/IngestFast/IngestBatch take no lock to find it. Stable:
+  // tenants_ never erases.
+  TenantState* default_tenant_ = nullptr;
 
   std::unique_ptr<Quarantine> quarantine_;
 

@@ -10,11 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/algorithms/multi_source_reach.h"
 #include "src/algorithms/pagerank.h"
 #include "src/algorithms/sssp.h"
 #include "src/core/graphbolt_engine.h"
@@ -40,15 +41,6 @@ static_assert(FastPathEngine<GraphBoltEngine<PageRank>>);
 static_assert(FastPathEngine<GraphBoltEngine<Sssp>>);
 static_assert(FastPathEngine<KickStarterEngine<KsSsspTraits>>);
 static_assert(!FastPathEngine<LigraEngine<PageRank>>);
-
-// Bitwise equality over value arrays — the fast path's contract is stated
-// in bits, not tolerances (recovery replay must be exact).
-template <typename Value>
-bool SameValueBits(const std::vector<Value>& a, const std::vector<Value>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(Value)) == 0);
-}
 
 // A single-mutation stream interleaving generated updates with guaranteed
 // graph no-ops (self-loops normalize to nothing for every algorithm), so
@@ -155,6 +147,42 @@ TEST(FastPathClassify, GraphBoltSsspMatrix) {
   EXPECT_TRUE(engine.ApplyFastSafe(EdgeMutation::Delete(3, 2)));
   EXPECT_FALSE(graph.HasEdge(3, 2));
   EXPECT_TRUE(SameValueBits(before, engine.values()));
+
+  // 4 is unreachable, so 4->3 contributes ∞ at every level. At level 1 the
+  // aggregate at 3 is ∞ too (2 is not reached yet): a tie at the identity
+  // only, which a min absorbs — deleting the edge moves no bit.
+  engine.ApplyMutations({EdgeMutation::Add(4, 3, 1.0f)});
+  ASSERT_EQ(engine.store().At(1, 3), kUnreachable);
+  const FastPathVerdict tie = engine.ClassifyFast(EdgeMutation::Delete(4, 3));
+  EXPECT_TRUE(tie.safe) << tie.reason;
+  const auto store_before = ImageOf(engine.store());
+  engine.ApplyMutations({EdgeMutation::Delete(4, 3)});
+  EXPECT_TRUE(SameValueBits(before, engine.values()));
+  EXPECT_EQ(ImageDiff(store_before, ImageOf(engine.store())), "");
+}
+
+// Bitwise OR is monotonic but not selective: the aggregate 0b11 at 2 owes
+// bit 0 to 0->2 even though that input (0b01) is not equal to it. Deleting
+// it must escalate; only an input contributing nothing (the identity 0) is
+// a pure splice.
+TEST(FastPathClassify, MultiSourceReachDeletionOfContributingInputEscalates) {
+  EdgeList list;
+  list.set_num_vertices(4);
+  list.Add(0, 2);
+  list.Add(1, 2);
+  list.Add(3, 2);  // 3 is reached by no source: contributes 0
+  MutableGraph graph(std::move(list));
+  GraphBoltEngine<MultiSourceReach> engine(
+      &graph, MultiSourceReach({0, 1}, 4), {.max_iterations = 64, .run_to_convergence = true});
+  engine.InitialCompute();
+  ASSERT_EQ(engine.values()[2], 3u);
+
+  EXPECT_FALSE(engine.ClassifyFast(EdgeMutation::Delete(0, 2)).safe);
+  EXPECT_FALSE(engine.ApplyFastSafe(EdgeMutation::Delete(0, 2)));
+  EXPECT_TRUE(engine.ClassifyFast(EdgeMutation::Delete(3, 2)).safe);
+
+  engine.ApplyMutations({EdgeMutation::Delete(0, 2)});
+  EXPECT_EQ(engine.values()[2], 2u);
 }
 
 TEST(FastPathClassify, PageRankOnlyGraphNoopsAreSafe) {
@@ -174,21 +202,33 @@ TEST(FastPathClassify, PageRankOnlyGraphNoopsAreSafe) {
 
 // The definition of "safe", checked directly: whenever ClassifyFast says
 // safe, running the mutation through the full batched ApplyMutations path
-// must leave the computed values bitwise unchanged. Returns (safe, total)
+// must leave the computed values bitwise unchanged — and, for an engine
+// with a dependency store, the store too (level counts, every tracked
+// level's aggregates, every level's changed bits). Returns (safe, total)
 // so callers can require the sweep was not vacuous.
 template <typename Engine>
 std::pair<uint64_t, uint64_t> SweepOracle(Engine& engine,
                                           const std::vector<EdgeMutation>& mutations) {
+  constexpr bool kHasStore = requires { engine.store(); };
   uint64_t safe = 0;
   for (const EdgeMutation& m : mutations) {
     const bool verdict = engine.ClassifyFast(m).safe;
     const auto before = engine.values();
-    engine.ApplyMutations(MutationBatch{m});
+    std::string store_diff;
+    if constexpr (kHasStore) {
+      const auto store_before = ImageOf(engine.store());
+      engine.ApplyMutations(MutationBatch{m});
+      store_diff = ImageDiff(store_before, ImageOf(engine.store()));
+    } else {
+      engine.ApplyMutations(MutationBatch{m});
+    }
     if (verdict) {
       ++safe;
       EXPECT_TRUE(SameValueBits(before, engine.values()))
           << "safe verdict but batched apply moved values: kind="
           << static_cast<int>(m.kind) << " " << m.src << "->" << m.dst;
+      EXPECT_EQ(store_diff, "") << "safe verdict but batched apply moved the store: kind="
+                                << static_cast<int>(m.kind) << " " << m.src << "->" << m.dst;
     }
   }
   return {safe, mutations.size()};
@@ -198,6 +238,7 @@ TEST(FastPathOracle, SafeVerdictImpliesBitwiseNoopAcrossSeeds) {
   ThreadPool::SetNumThreads(1);
   uint64_t ks_safe = 0;
   uint64_t gb_safe = 0;
+  uint64_t reach_safe = 0;
   for (const uint64_t seed : FuzzSeeds()) {
     EdgeList full = GenerateRmat(600, 5000, {.seed = seed, .assign_random_weights = true});
     StreamSplit split = SplitForStreaming(full, 0.5, seed + 1);
@@ -216,10 +257,19 @@ TEST(FastPathOracle, SafeVerdictImpliesBitwiseNoopAcrossSeeds) {
       engine.InitialCompute();
       gb_safe += SweepOracle(engine, mutations).first;
     }
+    {
+      MutableGraph graph(split.initial);
+      GraphBoltEngine<MultiSourceReach> engine(
+          &graph, MultiSourceReach({0, 1, 2, 3, 5, 8}, split.initial.num_vertices()),
+          {.max_iterations = 128, .run_to_convergence = true});
+      engine.InitialCompute();
+      reach_safe += SweepOracle(engine, mutations).first;
+    }
   }
-  // The interleaved self-loops alone guarantee both sweeps see safes.
+  // The interleaved self-loops alone guarantee every sweep sees safes.
   EXPECT_GT(ks_safe, 0u);
   EXPECT_GT(gb_safe, 0u);
+  EXPECT_GT(reach_safe, 0u);
 }
 
 // ----- Driver equivalence ---------------------------------------------------

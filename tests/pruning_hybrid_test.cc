@@ -7,6 +7,7 @@
 #include "src/algorithms/label_propagation.h"
 #include "src/algorithms/pagerank.h"
 #include "src/algorithms/sssp.h"
+#include "src/core/compact_dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
 #include "src/graph/generators.h"
@@ -126,6 +127,53 @@ TEST(HybridExecution, ConvergenceModeExtendsLevelsWhenNeeded) {
   EXPECT_GT(bolt.store().total_levels(), levels_before);
 }
 
+// A batch that lengthens convergence must leave the history whole: the
+// continuation snapshots the levels it adds, so the engine ends exactly as
+// InitialCompute on the new snapshot would — values and store bitwise — and
+// the fast path can still prove single updates against it.
+template <typename StoreT>
+void ExpectLengthenedRunKeepsWholeHistory() {
+  EdgeList list;
+  list.set_num_vertices(6);
+  list.Add(0, 5);  // shortcut
+  list.Add(0, 1);
+  list.Add(1, 2);
+  list.Add(2, 3);
+  list.Add(3, 4);
+  list.Add(4, 5);  // long path
+  MutableGraph graph(std::move(list));
+  const typename GraphBoltEngine<Sssp, StoreT>::Options options{.max_iterations = 64,
+                                                                .run_to_convergence = true};
+  GraphBoltEngine<Sssp, StoreT> bolt(&graph, Sssp(0), options);
+  bolt.InitialCompute();
+  const uint32_t levels_before = bolt.store().total_levels();
+  ASSERT_EQ(bolt.store().tracked_levels(), levels_before);
+
+  bolt.ApplyMutations({EdgeMutation::Delete(0, 5)});
+  ASSERT_GT(bolt.store().total_levels(), levels_before);
+  EXPECT_EQ(bolt.store().tracked_levels(), bolt.store().total_levels());
+
+  MutableGraph fresh_graph(graph.ToEdgeList());
+  GraphBoltEngine<Sssp, StoreT> fresh(&fresh_graph, Sssp(0), options);
+  fresh.InitialCompute();
+  EXPECT_TRUE(SameValueBits(bolt.values(), fresh.values()));
+  EXPECT_EQ(StoreDiff(bolt.store(), fresh.store()), "");
+
+  // 5 is reached last, and 5->4 (15 > 4) relaxes no tracked level. Had the
+  // continuation not snapshotted the level it added, every verdict would
+  // be "pruned-history".
+  const FastPathVerdict verdict = bolt.ClassifyFast(EdgeMutation::Add(5, 4, 10.0f));
+  EXPECT_TRUE(verdict.safe) << verdict.reason;
+}
+
+TEST(HybridExecution, LengthenedConvergenceKeepsWholeHistoryDense) {
+  ExpectLengthenedRunKeepsWholeHistory<DependencyStore<double>>();
+}
+
+TEST(HybridExecution, LengthenedConvergenceKeepsWholeHistoryCompact) {
+  ExpectLengthenedRunKeepsWholeHistory<CompactDependencyStore<double>>();
+}
+
 TEST(HybridExecution, RepeatedBatchesWithPrunedHistoryStayExact) {
   // The continuation rewrites changed bits; 15 successive batches must not
   // let drift creep in through stale bit vectors.
@@ -147,9 +195,9 @@ TEST(HybridExecution, RepeatedBatchesWithPrunedHistoryStayExact) {
 }
 
 TEST(MonotonicFastPath, AdditionOnlyBatchesMatchRestart) {
-  // Sssp::kMonotonic lets addition-only batches push improved contributions
-  // instead of re-evaluating full in-neighborhoods; results must be
-  // identical to a restart.
+  // Sssp::kMonotonic lets refinement fold improved contributions instead of
+  // re-evaluating full in-neighborhoods (an addition-only batch never
+  // re-pulls); results must be identical to a restart.
   EdgeList full = GenerateRmat(600, 5000, {.seed = 120, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 121);
   MutableGraph g1(split.initial);
@@ -184,7 +232,9 @@ TEST(MonotonicFastPath, AdditionOnlyDoesLessWorkThanReevaluation) {
     adds_only.push_back(EdgeMutation::Add(e.src, e.dst, e.weight));
     mixed.push_back(EdgeMutation::Add(e.src, e.dst, e.weight));
   }
-  // One deletion forces the mixed batch onto the full re-evaluation path.
+  // One deletion can take an attaining input away: its target, and any
+  // target downstream that loses its attaining input, re-pulls its full
+  // in-neighborhood.
   const EdgeList snapshot = g2.ToEdgeList();
   mixed.push_back(EdgeMutation::Delete(snapshot.edges()[0].src, snapshot.edges()[0].dst));
 

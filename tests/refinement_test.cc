@@ -10,9 +10,13 @@
 #include <vector>
 
 #include "src/algorithms/coem.h"
+#include "src/algorithms/connected_components.h"
 #include "src/algorithms/label_propagation.h"
+#include "src/algorithms/multi_source_reach.h"
 #include "src/algorithms/pagerank.h"
 #include "src/algorithms/personalized_pagerank.h"
+#include "src/algorithms/sssp.h"
+#include "src/algorithms/widest_path.h"
 #include "src/core/dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
@@ -499,6 +503,81 @@ TEST(RefinementDirection, DenseLevelsAreBitwiseReproducibleAcrossWidths) {
               0)
         << "width " << (size_t{1} << i) << " differs from width 1";
   }
+}
+
+// ----- Selective min/max re-evaluation ------------------------------------------
+
+struct EdgeTotals {
+  uint64_t selective = 0;
+  uint64_t full = 0;
+};
+
+// Streams mixed (50/50) batches through a selective engine and one forced
+// to full re-evaluation (disable_monotonic_push), requiring bitwise-equal
+// values and stores after every batch, and final values bitwise equal to
+// a fresh run on the final snapshot. Adds each engine's edges_processed to
+// `totals`.
+template <typename Algo>
+void ExpectSelectiveMatchesFullReevaluation(const Algo& algo, const EdgeList& full_graph,
+                                            uint64_t seed, EdgeTotals* totals) {
+  StreamSplit split = SplitForStreaming(full_graph, 0.5, seed + 1);
+  MutableGraph g_selective(split.initial);
+  MutableGraph g_full(split.initial);
+  typename GraphBoltEngine<Algo>::Options options{.max_iterations = 256,
+                                                  .run_to_convergence = true};
+  GraphBoltEngine<Algo> selective(&g_selective, algo, options);
+  options.disable_monotonic_push = true;
+  GraphBoltEngine<Algo> full(&g_full, algo, options);
+  selective.InitialCompute();
+  full.InitialCompute();
+
+  UpdateStream stream(split.held_back, seed + 2);
+  for (int round = 0; round < 4; ++round) {
+    const MutationBatch batch =
+        stream.NextBatch(g_selective, {.size = 30, .add_fraction = 0.5});
+    selective.ApplyMutations(batch);
+    full.ApplyMutations(batch);
+    totals->selective += selective.stats().edges_processed;
+    totals->full += full.stats().edges_processed;
+    ASSERT_TRUE(SameValueBits(selective.values(), full.values())) << "round " << round;
+    ASSERT_EQ(StoreDiff(selective.store(), full.store()), "") << "round " << round;
+  }
+  MutableGraph g_fresh(g_selective.ToEdgeList());
+  GraphBoltEngine<Algo> fresh(&g_fresh, algo, options);
+  fresh.InitialCompute();
+  EXPECT_TRUE(SameValueBits(selective.values(), fresh.values()));
+}
+
+template <typename MakeAlgo>
+void SelectiveDifferentialAcrossSeeds(MakeAlgo make_algo) {
+  ArenaWidthGuard guard;
+  ThreadPool::SetNumThreads(2);
+  EdgeTotals totals;
+  for (const uint64_t seed : FuzzSeeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const EdgeList graph = GenerateRmat(600, 5000, {.seed = seed, .assign_random_weights = true});
+    ExpectSelectiveMatchesFullReevaluation(make_algo(graph.num_vertices()), graph, seed, &totals);
+  }
+  EXPECT_LT(totals.selective, totals.full);
+}
+
+TEST(SelectiveReevaluation, SsspMatchesFullReevaluation) {
+  SelectiveDifferentialAcrossSeeds([](VertexId) { return Sssp(0); });
+}
+
+TEST(SelectiveReevaluation, WidestPathMatchesFullReevaluation) {
+  SelectiveDifferentialAcrossSeeds([](VertexId) { return WidestPath(0); });
+}
+
+TEST(SelectiveReevaluation, ConnectedComponentsMatchesFullReevaluation) {
+  SelectiveDifferentialAcrossSeeds([](VertexId) { return ConnectedComponents{}; });
+}
+
+TEST(SelectiveReevaluation, MultiSourceReachMatchesFullReevaluation) {
+  // OR is not selective: any deleted or bit-losing non-zero input re-pulls.
+  SelectiveDifferentialAcrossSeeds([](VertexId n) {
+    return MultiSourceReach({0, 1, 2, 3, 5, 8, 13, 21}, n);
+  });
 }
 
 }  // namespace

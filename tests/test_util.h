@@ -8,8 +8,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/graph/edge_list.h"
@@ -67,6 +69,15 @@ double MaxGap(const std::vector<Value>& a, const std::vector<Value>& b) {
   return gap;
 }
 
+// Bitwise equality over value arrays, for contracts stated in bits rather
+// than tolerances (fast-path safety, recovery replay, refinement routes that
+// must agree exactly).
+template <typename Value>
+bool SameValueBits(const std::vector<Value>& a, const std::vector<Value>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(Value)) == 0);
+}
+
 // Seed selection for the randomized (`fuzz`-labeled) test tier, shared by
 // every fuzz target so CI shards them uniformly. Three forms, in
 // precedence order:
@@ -122,6 +133,76 @@ inline EdgeList PaperFigure2aGraph() {
   list.Add(3, 4);
   list.Add(4, 3);
   return list;
+}
+
+// A backend-independent copy of a dependency store (DependencyStore or
+// CompactDependencyStore): the level counts, every tracked level's
+// aggregates and every level's changed bits. ImageDiff compares them
+// bitwise.
+template <typename Aggregate>
+struct StoreImage {
+  uint32_t tracked = 0;
+  uint32_t total = 0;
+  std::vector<std::vector<Aggregate>> aggregates;  // [level - 1][v]
+  std::vector<std::vector<bool>> changed;          // [level - 1][v]
+
+  template <typename Store>
+  static StoreImage Of(const Store& store) {
+    StoreImage image;
+    image.tracked = store.tracked_levels();
+    image.total = store.total_levels();
+    const VertexId n = store.num_vertices();
+    for (uint32_t level = 1; level <= image.tracked; ++level) {
+      auto& row = image.aggregates.emplace_back(n);
+      for (VertexId v = 0; v < n; ++v) {
+        row[v] = store.At(level, v);
+      }
+    }
+    for (uint32_t level = 1; level <= image.total; ++level) {
+      auto& row = image.changed.emplace_back(n);
+      for (VertexId v = 0; v < n; ++v) {
+        row[v] = store.ChangedAt(level).Test(v);
+      }
+    }
+    return image;
+  }
+};
+
+// Empty when the two images are bitwise equal; otherwise names the first
+// difference.
+template <typename Aggregate>
+std::string ImageDiff(const StoreImage<Aggregate>& a, const StoreImage<Aggregate>& b) {
+  if (a.tracked != b.tracked || a.total != b.total) {
+    return "levels tracked/total " + std::to_string(a.tracked) + "/" + std::to_string(a.total) +
+           " vs " + std::to_string(b.tracked) + "/" + std::to_string(b.total);
+  }
+  for (size_t l = 0; l < a.aggregates.size(); ++l) {
+    if (a.aggregates[l].size() != b.aggregates[l].size()) {
+      return "vertex count differs at level " + std::to_string(l + 1);
+    }
+    for (size_t v = 0; v < a.aggregates[l].size(); ++v) {
+      if (std::memcmp(&a.aggregates[l][v], &b.aggregates[l][v], sizeof(Aggregate)) != 0) {
+        return "aggregate of vertex " + std::to_string(v) + " at level " + std::to_string(l + 1);
+      }
+    }
+  }
+  for (size_t l = 0; l < a.changed.size(); ++l) {
+    if (a.changed[l] != b.changed[l]) {
+      return "changed bits at level " + std::to_string(l + 1);
+    }
+  }
+  return "";
+}
+
+template <typename Store>
+auto ImageOf(const Store& store) {
+  return StoreImage<std::decay_t<decltype(store.At(1, 0))>>::Of(store);
+}
+
+// Bitwise store comparison across backends; empty when equal.
+template <typename StoreA, typename StoreB>
+std::string StoreDiff(const StoreA& a, const StoreB& b) {
+  return ImageDiff(ImageOf(a), ImageOf(b));
 }
 
 }  // namespace graphbolt
